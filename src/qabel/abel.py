@@ -14,7 +14,7 @@ from enum import Enum
 from functools import lru_cache
 from .mpoly import MPoly, Symbol
 from .operators import V_op, qderiv
-from .qcomb import binom2, qfac, qint, qpow
+from .qcomb import binom2, exp_coeffs, qfac, qint, qpow, qprod
 from .series import PowerSeries
 
 
@@ -50,23 +50,11 @@ def abel_poly(family: FamilyId, n: int) -> MPoly:
     if family is FamilyId.CLASSICAL:
         return (_X - _B) * (_X - _B - _A.scale(n)) ** (n - 1)
     if family is FamilyId.A:
-        out = _X - _B
-        shift = _A.scale(qint(n)) + _B.scale(qpow(n))
-        for j in range(1, n):
-            out = out * (_X.scale(qpow(j)) - shift)
-        return out
+        return (_X - _B) * qprod(-(_A.scale(qint(n)) + _B.scale(qpow(n))), _X.scale(qpow(1)), n - 1)
     if family is FamilyId.G:
-        out = _X - _B
-        shift = _A.scale(qint(n)) + _B
-        for j in range(1, n):
-            out = out * (_X.scale(qpow(j)) - shift)
-        return out
+        return (_X - _B) * qprod(-(_A.scale(qint(n)) + _B), _X.scale(qpow(1)), n - 1)
     if family is FamilyId.W:
-        out = MPoly.one()
-        shift = _A.scale(qint(n)) + _B
-        for j in range(n):
-            out = out * (_X.scale(qpow(j)) - shift)
-        return out
+        return qprod(-(_A.scale(qint(n)) + _B), _X, n)
     if family is FamilyId.S:
         return _X ** n + (_A * _X ** (n - 1)).scale(qint(n))
     if family is FamilyId.B_PLAIN:
@@ -125,16 +113,6 @@ def lagrange_shift(mode: str, n: int) -> MPoly:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _exp_coeffs(s: MPoly, m: int) -> list[MPoly]:
-    """Coefficients of e(s z) up to z^m."""
-    out = [MPoly.one()]
-    p = MPoly.one()
-    for i in range(1, m + 1):
-        p = p * s
-        out.append(p.scale(qfac(i).inv()))
-    return out
-
-
 def _conv_at(u: list[MPoly], v, m: int) -> MPoly:
     acc = MPoly.zero()
     for i in range(m + 1):
@@ -165,13 +143,13 @@ def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
     for n in range(1, order + 1):
         s = lagrange_shift(mode, n)
         if mode == "buermann":
-            e = _exp_coeffs(-s, n)
+            e = exp_coeffs("small_e", -s, n)
             out.append(_conv_at(e, fc, n).scale(qfac(n)))
             continue
-        e = _exp_coeffs(-s, n - 1)
+        e = exp_coeffs("small_e", -s, n - 1)
         c = _conv_at(e, fd, n - 1)
         if mode == "general_b":
-            e2 = _exp_coeffs(-s.scale(qpow(-1)), n - 1)
+            e2 = exp_coeffs("small_e", -s.scale(qpow(-1)), n - 1)
             c = c - (_B * _conv_at(e2, fc, n - 1)).scale(qpow(n - 1))
         out.append(c.scale(qfac(n - 1)))
     return out

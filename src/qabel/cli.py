@@ -376,8 +376,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run identity checks")
     p_verify.add_argument("--id", action="append", dest="ids", metavar="ID")
-    p_verify.add_argument("--max-n", type=int, default=6)
-    p_verify.add_argument("--order", type=int, default=8)
+    p_verify.add_argument("--max-n", type=int, default=registry.DEFAULT_MAX_N)
+    p_verify.add_argument("--order", type=int, default=registry.DEFAULT_ORDER)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--jobs", type=int, default=1)
 
@@ -470,11 +470,13 @@ def _cmd_eval(ns) -> tuple[str, int]:
 
 
 def _cmd_list(ns) -> tuple[str, int]:
+    idents = [registry.get_identity(identity_id) for identity_id in registry.identity_ids()]
+    width = max(len(ident.verified) for ident in idents)
     lines = []
-    for identity_id in registry.identity_ids():
-        ident = registry.get_identity(identity_id)
+    for ident in idents:
         params = ", ".join(ident.params)
-        lines.append(f"{identity_id:12s} params: {params:8s} verified: {ident.verified:18s} {ident.description}")
+        verified = ident.verified.ljust(width)
+        lines.append(f"{ident.id:12s} params: {params:8s} verified: {verified} {ident.description}")
     return "\n".join(lines) + "\n", 0
 
 

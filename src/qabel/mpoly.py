@@ -298,6 +298,8 @@ class MPoly:
         return self._t == other._t
 
     def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_coeff())
         return hash(frozenset(self._t.items()))
 
     def __str__(self) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .mpoly import MPoly, Symbol, _as_mpoly
-from .qcomb import binom2, qfac, qint, qpow
+from .qcomb import binom2, exp_weight, qfac, qint, qpow
 from .qfield import ONE as QR_ONE, QRat
 
 
@@ -79,10 +79,7 @@ def make_exp_dseries(kind: str, c) -> DSeries:
     def gen(k: int) -> MPoly:
         while len(powers) <= k:
             powers.append(powers[-1] * c)
-        w = qfac(k).inv()
-        if kind == "big_E":
-            w = w * qpow(binom2(k))
-        return powers[k].scale(w)
+        return powers[k].scale(exp_weight(kind, k))
 
     return DSeries(gen)
 

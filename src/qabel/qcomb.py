@@ -1,6 +1,7 @@
 """q-combinatorial primitives: q-integers, q-factorials, Gaussian binomials,
-the shifted products (y +- x)(y +- qx)...(y +- q^(n-1)x), and q-Pochhammer
-symbols.  Results are QRat scalars or MPoly values; everything is exact.
+the q-exponential weights 1/[k]! and q^(k choose 2)/[k]!, the shifted
+products (y +- x)(y +- qx)...(y +- q^(n-1)x), and q-Pochhammer symbols.
+Results are QRat scalars or MPoly values; everything is exact.
 """
 from __future__ import annotations
 
@@ -53,6 +54,27 @@ def qbinom(n: int, k: int) -> QRat:
     return qbinom(n - 1, k - 1) + qpow(k) * qbinom(n - 1, k)
 
 
+def exp_weight(kind: str, k: int) -> QRat:
+    """Weight of term k of a q-exponential: 1/[k]! for "small_e",
+    q^(k choose 2)/[k]! for "big_E"."""
+    if kind == "small_e":
+        return qfac(k).inv()
+    if kind == "big_E":
+        return qpow(binom2(k)) * qfac(k).inv()
+    raise ValueError(f"unknown exponential kind {kind!r}")
+
+
+def exp_coeffs(kind: str, c: MPoly, order: int) -> list[MPoly]:
+    """Coefficients of z^0 .. z^order in the q-exponential of c*z."""
+    out = []
+    power = MPoly.one()
+    for k in range(order + 1):
+        if k:
+            power = power * c
+        out.append(power.scale(exp_weight(kind, k)))
+    return out
+
+
 def qprod(y: MPoly, x: MPoly, n: int, sign: str = "plus") -> MPoly:
     """Expanded n-fold shifted product of y with q-power multiples of x.
 
@@ -72,10 +94,4 @@ def qprod(y: MPoly, x: MPoly, n: int, sign: str = "plus") -> MPoly:
 
 def qpoch(u: MPoly, n: int) -> MPoly:
     """Expanded q-Pochhammer product (1 - u)(1 - qu)...(1 - q^(n-1)u)."""
-    if n < 0:
-        raise ValueError("product length must be nonnegative")
-    out = MPoly.one()
-    one = MPoly.one()
-    for j in range(n):
-        out = out * (one - u.scale(qpow(j)))
-    return out
+    return qprod(MPoly.one(), u, n, "minus")

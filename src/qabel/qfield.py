@@ -423,6 +423,8 @@ class QRat:
         return self._c == other._c and self._np == other._np and self._dp == other._dp
 
     def __hash__(self) -> int:
+        if self.is_constant():
+            return hash(self.as_fraction())
         return hash((self._c, self._np, self._dp))
 
     def eval(self, q0: Scalar) -> Fraction:

@@ -4,16 +4,17 @@ Each entry constructs both sides of one identity exactly, as multivariate
 polynomials in x, y, a, b (and t for the difference-operator suite) or as
 truncated power series, and reports the canonical difference.  A check
 passes iff the difference is identically zero.  Universally quantified
-statements are checked on finite parameter ranges; the registry records the
-range each entry has been verified on.
+statements are checked on finite parameter ranges.  Each entry declares its
+ranges as one spec, a Span per parameter; the same spec yields the checks a
+run executes and the `verified` text that `qabel list` shows, rendered at the
+`verify` defaults (max-n 6, order 8).
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import abel
 from .abel import FamilyId
@@ -190,12 +191,8 @@ def _chk_2_4(n: int) -> MPoly:
     rhs = ZERO
     for k in range(n + 1):
         gk = _fam(FamilyId.G, k).subst_many({Symbol.a: -A, Symbol.b: -B})
-        if k == n:
-            u = ONE
-        else:
-            u = Y
-            for j in range(1, n - k):
-                u = u * (Y + B.scale(QR_ONE - qpow(j)) + A.scale(qint(n) - qpow(j) * qint(k)))
+        # u = Y * prod_{j=1}^{n-k-1} (Y + (1 - q^j) b + ([n] - q^j [k]) a)
+        u = ONE if k == n else Y * qprod(Y + B + A.scale(qint(n)), -_shift_g(k).scale(qpow(1)), n - k - 1)
         rhs = rhs + (gk * u).scale(qbinom(n, k))
     return lhs - rhs
 
@@ -417,14 +414,78 @@ def _chk_5_12(order: int) -> PowerSeries:
 # Registry table.
 # --------------------------------------------------------------------------
 
+DEFAULT_MAX_N = 6
+DEFAULT_ORDER = 8
+_DEFAULTS = {"max_n": DEFAULT_MAX_N, "order": DEFAULT_ORDER}
+
+
+def _bound_value(bound: int | str, env: dict[str, int]) -> int:
+    if isinstance(bound, int):
+        return bound
+    return sum(env[name] for name in bound.split("+"))
+
+
+def _bound_text(bound: int | str) -> str:
+    if isinstance(bound, int):
+        return str(bound)
+    return "+".join(str(_DEFAULTS.get(name, name)) for name in bound.split("+"))
+
+
+@dataclass(frozen=True)
+class Span:
+    """Inclusive range lo..hi of one identity parameter.
+
+    Each bound is an int or a '+'-joined sum of names in scope: max_n, order,
+    or a parameter declared earlier.  A cap clamps the upper bound from above.
+    """
+
+    lo: int | str = 0
+    hi: int | str = "max_n"
+    cap: int | None = None
+
+    def values(self, env: dict[str, int]) -> range:
+        hi = _bound_value(self.hi, env)
+        if self.cap is not None:
+            hi = min(hi, self.cap)
+        return range(_bound_value(self.lo, env), hi + 1)
+
+    def render(self, name: str) -> str:
+        """The range at the verify defaults, earlier parameters kept by name."""
+        lo, hi = _bound_text(self.lo), _bound_text(self.hi)
+        if self.cap is not None:
+            hi = str(min(self.cap, int(hi)))
+        if lo == hi:
+            return f"{name} = {hi}"
+        if lo == "0":
+            return f"{name} <= {hi}"
+        return f"{lo} <= {name} <= {hi}"
+
+
+_AT_ORDER = Span("order", "order")
+
+
 @dataclass(frozen=True)
 class Identity:
     id: str
-    params: tuple[str, ...]
     description: str
-    verified: str
-    enumerate_params: Callable[[int, int], Iterator[dict[str, int]]]
+    ranges: dict[str, Span]
     compute: Callable[..., object]
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return tuple(self.ranges)
+
+    @property
+    def verified(self) -> str:
+        """The parameter ranges a default `verify` run checks."""
+        return ", ".join(span.render(name) for name, span in self.ranges.items())
+
+    def enumerate_params(self, max_n: int, order: int) -> list[dict[str, int]]:
+        """Every parameter assignment in the ranges, first parameter outermost."""
+        envs = [{"max_n": max_n, "order": order}]
+        for name, span in self.ranges.items():
+            envs = [{**env, name: v} for env in envs for v in span.values(env)]
+        return [{name: env[name] for name in self.ranges} for env in envs]
 
 
 @dataclass(frozen=True)
@@ -440,157 +501,65 @@ class CheckResult:
         return self.status == "pass"
 
 
-def _each_n(lo: int = 0):
-    def gen(max_n: int, order: int):
-        for n in range(lo, max_n + 1):
-            yield {"n": n}
-
-    return gen
-
-
-def _triangular_nk(max_n: int, order: int):
-    for n in range(max_n + 1):
-        for k in range(n + 1):
-            yield {"n": n, "k": k}
-
-
-def _grid_nk(max_n: int, order: int):
-    for n in range(max_n + 1):
-        for k in range(max_n + 1):
-            yield {"n": n, "k": k}
-
-
-def _order_only(max_n: int, order: int):
-    yield {"N": order}
-
-
-def _n_capped_with_order(cap: int):
-    def gen(max_n: int, order: int):
-        for n in range(min(cap, max_n) + 1):
-            yield {"n": n, "N": order}
-
-    return gen
-
-
-def _grid_nd(max_n: int, order: int):
-    for n in range(1, max_n + 1):
-        for d in range(max_n + 1):
-            yield {"n": n, "d": d}
-
-
-def _grid_mn_pincherle(max_n: int, order: int):
-    for m in range(min(5, max_n) + 1):
-        for n in range(max_n + 1):
-            yield {"m": m, "n": n}
-
-
-def _grid_ik(max_n: int, order: int):
-    for i in range(1, min(4, max_n) + 1):
-        for k in range(i, max_n + 1):
-            yield {"i": i, "k": k}
-
-
-def _each_k(max_n: int, order: int):
-    for k in range(max_n + 1):
-        yield {"k": k}
-
-
-def _grid_mk(max_n: int, order: int):
-    for m in range(min(4, max_n) + 1):
-        for k in range(m, max_n + 1):
-            yield {"m": m, "k": k}
-
-
-def _grid_imk(max_n: int, order: int):
-    for i in range(1, 5):
-        for m in range(5):
-            for k in range(i + m, max_n + 1):
-                yield {"i": i, "m": m, "k": k}
-
-
-def _grid_nj(max_n: int, order: int):
-    for n in range(1, max_n + 1):
-        for j in range(1, n + 1):
-            yield {"n": n, "j": j}
-
-
 _TABLE: list[Identity] = [
-    Identity("0.3", ("n",), "classical Abel binomial expansion", "n <= 6", _each_n(), _chk_0_3),
-    Identity("0.17", ("n",), "classical alternating evaluation sum", "n <= 6", _each_n(), _chk_0_17),
-    Identity("limit-A", ("n",), "A family degenerates to the classical family at q = 1", "n <= 8",
-             _each_n(), _chk_limit(FamilyId.A)),
-    Identity("limit-G", ("n",), "G family degenerates to the classical family at q = 1", "n <= 8",
-             _each_n(), _chk_limit(FamilyId.G)),
-    Identity("1.3", ("n",), "q-Abel expansion of the rising product, A family", "n <= 8",
-             _each_n(), _chk_1_3),
-    Identity("1.5", ("N",), "series form of the A-family expansion", "order 8", _order_only, _chk_1_5),
-    Identity("1.6", ("n",), "q-Abel expansion of the rising product at b = 0", "n <= 8",
-             _each_n(), _chk_1_6),
-    Identity("1.7", ("n",), "G arises from A by widening a", "n <= 8", _each_n(), _chk_1_7),
-    Identity("1.8", ("n",), "q-Abel expansion of the rising product, G family", "n <= 8",
-             _each_n(), _chk_1_8),
-    Identity("1.9", ("N",), "series form of the G-family expansion", "order 8", _order_only, _chk_1_9),
-    Identity("eE", ("N",), "the two q-exponentials are reciprocal", "order 16", _order_only, _chk_eE),
-    Identity("e-ratio", ("N",), "falling products generate the exponential quotient", "order 16",
-             _order_only, _chk_e_ratio),
-    Identity("EaD", ("n",), "operator exponential produces the rising product", "n <= 8",
-             _each_n(), _chk_EaD),
-    Identity("2.1", ("n", "k"), "derivative ladder for the G family", "0 <= k <= n <= 6",
-             _triangular_nk, _chk_2_1),
-    Identity("2.2", ("n", "k"), "orthogonality evaluations of G derivatives", "0 <= k <= n <= 6",
-             _triangular_nk, _chk_2_2),
-    Identity("2.3", ("n",), "Abel expansion of x^n reconstructs exactly", "n <= 6",
-             _each_n(), _chk_2_3),
-    Identity("2.4", ("n",), "expansion of the reflected G polynomial", "n <= 6", _each_n(), _chk_2_4),
-    Identity("post-2.4", ("n", "N"), "series expansion of z^n over the shifted basis",
-             "n <= 3, order 8", _n_capped_with_order(3), _chk_post_2_4),
-    Identity("3.1", ("n",), "product, sum and operator forms of w agree", "n <= 8",
-             _each_n(), _chk_3_1),
-    Identity("3.2", ("n",), "G arises from w by 1 + aD", "n <= 8", _each_n(), _chk_3_2),
-    Identity("S-ladder", ("n",), "two-term family S and its derivative ladder", "n <= 8",
-             _each_n(), _chk_S_ladder),
-    Identity("3.4", ("n",), "ladder operator lowers G by one degree", "1 <= n <= 6",
-             _each_n(1), _chk_3_4),
-    Identity("3.3-vs-3.5", ("n", "d"), "closed and series forms of the ladder operator agree",
-             "n, d <= 6", _grid_nd, _chk_3_3_vs_3_5),
-    Identity("4.2", ("N",), "plain extraction on e(xz) yields the plain B family", "k <= 6",
-             _order_only, _chk_4_2),
-    Identity("4.3", ("n",), "operator form of the plain B family", "n <= 8", _each_n(), _chk_4_3),
-    Identity("4.4", ("n", "k"), "biorthogonality of the plain B family", "n, k <= 6",
-             _grid_nk, _chk_4_4),
-    Identity("4.B-forms", ("n",), "closed-sum and two-term forms of the general B family", "n <= 8",
-             _each_n(), _chk_4_B_forms),
-    Identity("4.7", ("m", "n"), "q-Pincherle commutation residual vanishes", "m <= 5, n <= 8",
-             _grid_mn_pincherle, _chk_4_7),
-    Identity("4.8", ("N",), "general-b coefficients reconstruct e(xz)", "order 8",
-             _order_only, _chk_4_8),
-    Identity("4.9", ("n", "k"), "biorthogonality of the general B family", "n, k <= 6",
-             _grid_nk, _chk_4_9),
-    Identity("4.10", ("n",), "single-operator form of the general B family", "n <= 8",
-             _each_n(), _chk_4_10),
-    Identity("4.12", ("n",), "Buermann coefficients of the falling exponential", "n <= 6",
-             _each_n(), _chk_4_12),
-    Identity("4.13", ("N",), "geometric-weighted expansion of the big exponential", "order 8",
-             _order_only, _chk_4_13),
-    Identity("5.3", ("i", "k"), "difference operator annihilates powers of t", "i <= 4, k <= 6",
-             _grid_ik, _chk_5_3),
-    Identity("5.4", ("k",), "difference operator on 1", "k <= 6", _each_k, _chk_5_4),
-    Identity("5.5", ("m", "k"), "difference operator on bracket powers", "m <= 4, k <= 6",
-             _grid_mk, _chk_5_5),
-    Identity("5.6", ("i", "m", "k"), "difference operator annihilates mixed terms",
-             "i, m <= 4, k <= 6", _grid_imk, _chk_5_6),
-    Identity("5.7", ("n", "j"), "difference operator annihilates the shifted binomial expansion",
-             "j <= n <= 6", _grid_nj, _chk_5_7),
-    Identity("5.8", ("n",), "difference operator extracts the factorial times a^n", "n <= 6",
-             _each_n(), _chk_5_8),
-    Identity("5.9", ("n",), "alternating product sum collapses to the factorial times a^n",
-             "n <= 6", _each_n(), _chk_5_9),
-    Identity("5.10", ("n", "N"), "geometric-weighted series expansion of z^n", "n <= 3, order 8",
-             _n_capped_with_order(3), _chk_5_10),
-    Identity("5.11", ("n",), "polynomial shadow of the geometric-weighted expansion", "n <= 6",
-             _each_n(), _chk_5_11),
-    Identity("5.12", ("N",), "geometric-weighted expansion, widened parameter", "order 8",
-             _order_only, _chk_5_12),
+    Identity("0.3", "classical Abel binomial expansion", {"n": Span()}, _chk_0_3),
+    Identity("0.17", "classical alternating evaluation sum", {"n": Span()}, _chk_0_17),
+    Identity("limit-A", "A family degenerates to the classical family at q = 1", {"n": Span()},
+             _chk_limit(FamilyId.A)),
+    Identity("limit-G", "G family degenerates to the classical family at q = 1", {"n": Span()},
+             _chk_limit(FamilyId.G)),
+    Identity("1.3", "q-Abel expansion of the rising product, A family", {"n": Span()}, _chk_1_3),
+    Identity("1.5", "series form of the A-family expansion", {"N": _AT_ORDER}, _chk_1_5),
+    Identity("1.6", "q-Abel expansion of the rising product at b = 0", {"n": Span()}, _chk_1_6),
+    Identity("1.7", "G arises from A by widening a", {"n": Span()}, _chk_1_7),
+    Identity("1.8", "q-Abel expansion of the rising product, G family", {"n": Span()}, _chk_1_8),
+    Identity("1.9", "series form of the G-family expansion", {"N": _AT_ORDER}, _chk_1_9),
+    Identity("eE", "the two q-exponentials are reciprocal", {"N": _AT_ORDER}, _chk_eE),
+    Identity("e-ratio", "falling products generate the exponential quotient", {"N": _AT_ORDER},
+             _chk_e_ratio),
+    Identity("EaD", "operator exponential produces the rising product", {"n": Span()}, _chk_EaD),
+    Identity("2.1", "derivative ladder for the G family", {"n": Span(), "k": Span(0, "n")}, _chk_2_1),
+    Identity("2.2", "orthogonality evaluations of G derivatives", {"n": Span(), "k": Span(0, "n")},
+             _chk_2_2),
+    Identity("2.3", "Abel expansion of x^n reconstructs exactly", {"n": Span()}, _chk_2_3),
+    Identity("2.4", "expansion of the reflected G polynomial", {"n": Span()}, _chk_2_4),
+    Identity("post-2.4", "series expansion of z^n over the shifted basis",
+             {"n": Span(cap=3), "N": _AT_ORDER}, _chk_post_2_4),
+    Identity("3.1", "product, sum and operator forms of w agree", {"n": Span()}, _chk_3_1),
+    Identity("3.2", "G arises from w by 1 + aD", {"n": Span()}, _chk_3_2),
+    Identity("S-ladder", "two-term family S and its derivative ladder", {"n": Span()}, _chk_S_ladder),
+    Identity("3.4", "ladder operator lowers G by one degree", {"n": Span(1)}, _chk_3_4),
+    Identity("3.3-vs-3.5", "closed and series forms of the ladder operator agree",
+             {"n": Span(1), "d": Span()}, _chk_3_3_vs_3_5),
+    Identity("4.2", "plain extraction on e(xz) yields the plain B family", {"N": _AT_ORDER}, _chk_4_2),
+    Identity("4.3", "operator form of the plain B family", {"n": Span()}, _chk_4_3),
+    Identity("4.4", "biorthogonality of the plain B family", {"n": Span(), "k": Span()}, _chk_4_4),
+    Identity("4.B-forms", "closed-sum and two-term forms of the general B family", {"n": Span()},
+             _chk_4_B_forms),
+    Identity("4.7", "q-Pincherle commutation residual vanishes", {"m": Span(cap=5), "n": Span()},
+             _chk_4_7),
+    Identity("4.8", "general-b coefficients reconstruct e(xz)", {"N": _AT_ORDER}, _chk_4_8),
+    Identity("4.9", "biorthogonality of the general B family", {"n": Span(), "k": Span()}, _chk_4_9),
+    Identity("4.10", "single-operator form of the general B family", {"n": Span()}, _chk_4_10),
+    Identity("4.12", "Buermann coefficients of the falling exponential", {"n": Span()}, _chk_4_12),
+    Identity("4.13", "geometric-weighted expansion of the big exponential", {"N": _AT_ORDER},
+             _chk_4_13),
+    Identity("5.3", "difference operator annihilates powers of t", {"i": Span(1, cap=4), "k": Span("i")},
+             _chk_5_3),
+    Identity("5.4", "difference operator on 1", {"k": Span()}, _chk_5_4),
+    Identity("5.5", "difference operator on bracket powers", {"m": Span(cap=4), "k": Span("m")},
+             _chk_5_5),
+    Identity("5.6", "difference operator annihilates mixed terms",
+             {"i": Span(1, 4), "m": Span(0, 4), "k": Span("i+m")}, _chk_5_6),
+    Identity("5.7", "difference operator annihilates the shifted binomial expansion",
+             {"n": Span(1), "j": Span(1, "n")}, _chk_5_7),
+    Identity("5.8", "difference operator extracts the factorial times a^n", {"n": Span()}, _chk_5_8),
+    Identity("5.9", "alternating product sum collapses to the factorial times a^n", {"n": Span()},
+             _chk_5_9),
+    Identity("5.10", "geometric-weighted series expansion of z^n", {"n": Span(cap=3), "N": _AT_ORDER},
+             _chk_5_10),
+    Identity("5.11", "polynomial shadow of the geometric-weighted expansion", {"n": Span()}, _chk_5_11),
+    Identity("5.12", "geometric-weighted expansion, widened parameter", {"N": _AT_ORDER}, _chk_5_12),
 ]
 
 REGISTRY: dict[str, Identity] = {ident.id: ident for ident in _TABLE}
@@ -630,10 +599,13 @@ def _map_kwargs(ident: Identity, kwargs: dict[str, int]) -> dict[str, int]:
 
 
 def enumerate_checks(
-    ids: Iterable[str] | None = None, max_n: int = 6, order: int = 8
+    ids: Iterable[str] | None = None, max_n: int = DEFAULT_MAX_N, order: int = DEFAULT_ORDER
 ) -> list[tuple[str, dict[str, int]]]:
-    """The (id, params) pairs a verification run will execute."""
-    selected = identity_ids() if ids is None else list(ids)
+    """The (id, params) pairs a verification run will execute.
+
+    A repeated id is enumerated once, at its first occurrence.
+    """
+    selected = identity_ids() if ids is None else list(dict.fromkeys(ids))
     tasks = []
     for identity_id in selected:
         ident = get_identity(identity_id)
@@ -643,14 +615,16 @@ def enumerate_checks(
 
 
 def verify(
-    ids: Iterable[str] | None = None, max_n: int = 6, order: int = 8, jobs: int = 1
+    ids: Iterable[str] | None = None,
+    max_n: int = DEFAULT_MAX_N,
+    order: int = DEFAULT_ORDER,
+    jobs: int = 1,
 ) -> list[CheckResult]:
-    """Run registry checks and return results sorted by (id, params)."""
-    tasks = enumerate_checks(ids, max_n=max_n, order=order)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: check_identity(t[0], t[1]), tasks))
-    else:
-        results = [check_identity(i, p) for i, p in tasks]
+    """Run registry checks and return results sorted by (id, params).
+
+    The checks run one after another whatever `jobs` says: they are pure
+    Python, so worker threads would only contend for the interpreter lock.
+    """
+    results = [check_identity(i, p) for i, p in enumerate_checks(ids, max_n=max_n, order=order)]
     results.sort(key=lambda r: (r.identity_id, tuple(sorted(r.params.items()))))
     return results

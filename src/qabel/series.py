@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .mpoly import MPoly, _as_mpoly
-from .qcomb import binom2, qfac, qint, qpow
+from .qcomb import exp_coeffs, qfac, qint
 
 
 class OrderMismatch(ValueError):
@@ -158,40 +158,22 @@ def ps_exp(kind: str, c, order: int) -> PowerSeries:
     kind "small_e" gives sum c^k z^k / [k]!; "big_E" additionally weights
     term k by q^(k choose 2).
     """
-    c = _as_mpoly(c)
-    coeffs = []
-    power = MPoly.one()
-    for k in range(order + 1):
-        if k:
-            power = power * c
-        w = qfac(k).inv()
-        if kind == "big_E":
-            w = w * qpow(binom2(k))
-        elif kind != "small_e":
-            raise ValueError(f"unknown exponential kind {kind!r}")
-        coeffs.append(power.scale(w))
-    return PowerSeries(order, coeffs)
+    return PowerSeries(order, exp_coeffs(kind, _as_mpoly(c), order))
 
 
 def abel_sum(coeff: Callable[[int], MPoly], shift: Callable[[int], MPoly], order: int) -> PowerSeries:
     """Assemble sum_k coeff(k)/[k]! * z^k * E(shift(k) z), truncated.
 
-    Term k contributes q^(m-k choose 2) shift(k)^(m-k) / [m-k]! times its own
-    weight to every z^m with k <= m <= order.
+    Term k contributes its own weight times the z^(m-k) coefficient of
+    E(shift(k) z) to every z^m with k <= m <= order.
     """
     out = [MPoly.zero()] * (order + 1)
     for k in range(order + 1):
         ck = _as_mpoly(coeff(k)).scale(qfac(k).inv())
         if ck.is_zero():
             continue
-        sk = _as_mpoly(shift(k))
-        power = MPoly.one()
-        for m in range(k, order + 1):
-            j = m - k
-            if j:
-                power = power * sk
-            w = qpow(binom2(j)) * qfac(j).inv()
-            out[m] = out[m] + (ck * power).scale(w)
+        for j, e in enumerate(exp_coeffs("big_E", _as_mpoly(shift(k)), order - k)):
+            out[k + j] = out[k + j] + ck * e
     return PowerSeries(order, out)
 
 

@@ -264,6 +264,15 @@ class TestVerifyCommand:
         strip = lambda text: [line.split("(")[0] for line in text.splitlines()]
         assert strip(seq) == strip(par)
 
+    def test_repeated_id_runs_once(self):
+        out, code, _ = run(["verify", "--id", "5.4", "--id", "5.4", "--max-n", "2"])
+        assert code == 0
+        assert out.splitlines()[-1] == "total 3  passed 3  failed 0"
+
+    def test_jobs_below_one_rejected(self):
+        _, code, err = run(["verify", "--id", "5.4", "--jobs", "0"])
+        assert code == 2 and "--jobs" in err
+
     def test_mutation_flips_exit_code(self):
         with corrupt_family(FamilyId.G, n=2):
             out, code, _ = run(["verify", "--id", "1.8", "--max-n", "3"])
@@ -281,6 +290,41 @@ class TestListCommand:
         assert len(lines) == len(identity_ids())
         assert lines[0].startswith("0.3")
         assert any("verified" in line for line in lines)
+
+    def test_verified_column_matches_default_enumeration(self):
+        from qabel.registry import enumerate_checks, get_identity, identity_ids
+
+        out, _, _ = run(["list"])
+        for identity_id, line in zip(identity_ids(), out.splitlines()):
+            text = get_identity(identity_id).verified
+            assert f" verified: {text} " in line
+            seen: dict[str, tuple[int, int]] = {}
+            for _, params in enumerate_checks([identity_id]):
+                for name, v in params.items():
+                    lo, hi = seen.get(name, (v, v))
+                    seen[name] = (min(lo, v), max(hi, v))
+            assert _listed_bounds(text) == seen, identity_id
+
+
+def _listed_bounds(text):
+    """Per-parameter (min, max) read from a `verified` text such as
+    "1 <= i <= 4, i+m <= k <= 6": a missing lower bound is 0, and a bound
+    naming earlier parameters takes their extreme values."""
+    bounds: dict[str, tuple[int, int]] = {}
+
+    def value(bound, side):
+        return sum(int(t) if t.isdigit() else bounds[t][side] for t in bound.split("+"))
+
+    for clause in text.split(", "):
+        words = clause.split(" ")
+        if words[1] == "=":
+            name, lo, hi = words[0], words[2], words[2]
+        elif len(words) == 3:
+            name, lo, hi = words[0], "0", words[2]
+        else:
+            lo, name, hi = words[0], words[2], words[4]
+        bounds[name] = (value(lo, 0), value(hi, 1))
+    return bounds
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -171,3 +173,21 @@ def test_coeffs_in_recombines(p):
 @given(mpolys(), mpolys())
 def test_add_commutes(p, r):
     assert p + r == r + p
+
+
+@pytest.mark.parametrize(
+    "scalar, element",
+    [
+        (0, QRat.from_scalar(0)),
+        (1, QRat.from_scalar(1)),
+        (Fraction(1, 2), QRat.from_scalar(Fraction(1, 2))),
+        (0, MPoly.zero()),
+        (1, MPoly.one()),
+        (Fraction(1, 2), MPoly.const(Fraction(1, 2))),
+        (Q, MPoly.const(Q)),
+    ],
+)
+def test_hash_agrees_with_equality(scalar, element):
+    assert element == scalar
+    assert hash(element) == hash(scalar)
+    assert scalar in {element} and element in {scalar}

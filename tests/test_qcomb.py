@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qabel.mpoly import MPoly, Symbol
-from qabel.qcomb import binom2, qbinom, qfac, qint, qpoch, qpow, qprod
+from qabel.qcomb import binom2, exp_coeffs, exp_weight, qbinom, qfac, qint, qpoch, qpow, qprod
 from qabel.qfield import ONE, QRat
 
 X = MPoly.var(Symbol.x)
@@ -83,6 +83,23 @@ class TestQBinom:
         assert qbinom(n, k).eval(1) == comb(n, k)
 
 
+class TestExpWeight:
+    @pytest.mark.parametrize("k", range(8))
+    def test_weights_invert_the_factorial(self, k):
+        assert exp_weight("small_e", k) * qfac(k) == ONE
+        assert exp_weight("big_E", k) * qfac(k) == qpow(binom2(k))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            exp_weight("tiny_e", 1)
+
+    def test_coeffs_are_weighted_powers(self):
+        cs = exp_coeffs("big_E", X + Y, 4)
+        assert len(cs) == 5
+        assert cs[0] == MPoly.one()
+        assert cs[3] == ((X + Y) ** 3).scale(qpow(3) * qfac(3).inv())
+
+
 class TestQProd:
     def test_empty(self):
         assert qprod(Y, X, 0, "plus") == MPoly.one()
@@ -110,6 +127,10 @@ class TestQPoch:
 
     def test_at_one_vanishes(self):
         assert qpoch(MPoly.one(), 3) == MPoly.zero()
+
+    def test_negative_length(self):
+        with pytest.raises(ValueError):
+            qpoch(X, -1)
 
 
 @given(st.integers(0, 12), st.integers(0, 12))

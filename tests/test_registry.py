@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from helpers import corrupt_family
@@ -66,6 +68,27 @@ class TestEnumeration:
     def test_constraint_grids(self):
         for _, p in enumerate_checks(["5.6"], max_n=6, order=8):
             assert p["i"] >= 1 and p["k"] >= p["i"] + p["m"]
+
+    @pytest.mark.parametrize(
+        "max_n, order, count, digest",
+        [
+            (0, 0, 38, "a32999245916e906"),
+            (2, 3, 143, "38a0e2033f9dfaea"),
+            (3, 4, 219, "066ba5bed642d8fd"),
+            (6, 8, 529, "83f78911ded9d6e7"),
+            (9, 11, 930, "8950bc7d36a36730"),
+        ],
+    )
+    def test_enumeration_pinned(self, max_n, order, count, digest):
+        # The repr covers every (id, params) pair and the key order of each
+        # params dict, which `verify --json` prints.
+        tasks = enumerate_checks(max_n=max_n, order=order)
+        assert len(tasks) == count
+        assert hashlib.sha256(repr(tasks).encode()).hexdigest()[:16] == digest
+
+    def test_repeated_id_enumerated_once(self):
+        tasks = enumerate_checks(["5.4", "1.9", "5.4"], max_n=1, order=2)
+        assert tasks == [("5.4", {"k": 0}), ("5.4", {"k": 1}), ("1.9", {"N": 2})]
 
     def test_all_ids_enumerate(self):
         tasks = enumerate_checks(max_n=2, order=3)
