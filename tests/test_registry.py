@@ -122,6 +122,27 @@ class TestMutationSensitivity:
             results = verify(max_n=3, order=4)
         assert any(not r.passed for r in results), f"no identity noticed a corrupted {family}"
 
+    @pytest.mark.parametrize(
+        "family, fails, digest",
+        [
+            (FamilyId.CLASSICAL, 4, "e4b7148e4b5ad5b7"),
+            (FamilyId.A, 15, "a1bec9a0b4de110e"),
+            (FamilyId.G, 17, "8f68f1e5c6ca1bcf"),
+            (FamilyId.B_PLAIN, 4, "3e273077088f9a4c"),
+            (FamilyId.B_GENERAL, 5, "f9baa4b34d527c27"),
+            (FamilyId.W, 2, "485ac2531652fcf3"),
+            (FamilyId.S, 2, "0f715b4a285542f6"),
+        ],
+    )
+    def test_failing_differences_pinned(self, family, fails, digest):
+        # Pins the exact text of every failing difference, not just the
+        # verdicts, so a refactor of a checker cannot flip its orientation.
+        with corrupt_family(family, n=2):
+            results = verify(max_n=3, order=4)
+        assert sum(not r.passed for r in results) == fails
+        text = "\n".join(f"{r.identity_id} {r.params} {r.status} {r.difference}" for r in results)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_failure_reports_difference(self):
         with corrupt_family(FamilyId.A, n=3):
             result = check_identity("1.3", {"n": 3})
