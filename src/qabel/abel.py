@@ -14,8 +14,8 @@ from enum import Enum
 from functools import lru_cache
 from .mpoly import MPoly, Symbol
 from .operators import V_op, qderiv
-from .qcomb import binom2, exp_coeffs, qfac, qint, qpow, qprod
-from .series import PowerSeries
+from .qcomb import binom2, exp_coeffs, qfac, qint, qpow, qprod, shift_a, shift_g
+from .series import PowerSeries, conv_at
 
 
 class OrderTooSmall(ValueError):
@@ -50,11 +50,11 @@ def abel_poly(family: FamilyId, n: int) -> MPoly:
     if family is FamilyId.CLASSICAL:
         return (_X - _B) * (_X - _B - _A.scale(n)) ** (n - 1)
     if family is FamilyId.A:
-        return (_X - _B) * qprod(-(_A.scale(qint(n)) + _B.scale(qpow(n))), _X.scale(qpow(1)), n - 1)
+        return (_X - _B) * qprod(-shift_a(n), _X.scale(qpow(1)), n - 1)
     if family is FamilyId.G:
-        return (_X - _B) * qprod(-(_A.scale(qint(n)) + _B), _X.scale(qpow(1)), n - 1)
+        return (_X - _B) * qprod(-shift_g(n), _X.scale(qpow(1)), n - 1)
     if family is FamilyId.W:
-        return qprod(-(_A.scale(qint(n)) + _B), _X, n)
+        return qprod(-shift_g(n), _X, n)
     if family is FamilyId.S:
         return _X ** n + (_A * _X ** (n - 1)).scale(qint(n))
     if family is FamilyId.B_PLAIN:
@@ -96,7 +96,7 @@ def abel_expand(f: MPoly) -> AbelCoefficients:
     for k in range(f.degree_in(Symbol.x) + 1):
         if k:
             dk = qderiv(dk, Symbol.x, 1)
-        point = (_B + _A.scale(qint(k))).scale(qpow(-k))
+        point = shift_g(k).scale(qpow(-k))
         c = dk.subst(Symbol.x, point).scale(qpow(-binom2(k)) * qfac(k).inv())
         coeffs.append(c)
     return AbelCoefficients(FamilyId.G, tuple(coeffs))
@@ -107,21 +107,10 @@ def lagrange_shift(mode: str, n: int) -> MPoly:
     if mode == "plain":
         return _A.scale(qint(n))
     if mode == "general_b":
-        return _A.scale(qint(n)) + _B.scale(qpow(n))
+        return shift_a(n)
     if mode == "buermann":
-        return (_B.scale(qpow(n)) + _A.scale(qint(n))).scale(qpow(-1))
+        return shift_a(n).scale(qpow(-1))
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _conv_at(u: list[MPoly], v, m: int) -> MPoly:
-    acc = MPoly.zero()
-    for i in range(m + 1):
-        ui = u[i]
-        if not ui.is_zero():
-            vj = v[m - i]
-            if not vj.is_zero():
-                acc = acc + ui * vj
-    return acc
 
 
 def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
@@ -137,19 +126,19 @@ def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
         raise ValueError(f"unknown mode {mode!r}")
     if f.order < order:
         raise OrderTooSmall(f"series order {f.order} below requested {order}")
-    fc = list(f.coeffs)
-    fd = [fc[j + 1].scale(qint(j + 1)) for j in range(len(fc) - 1)]
+    fc = f.coeffs
+    fd = f.q_derivative().coeffs
     out = [fc[0]]
     for n in range(1, order + 1):
         s = lagrange_shift(mode, n)
         if mode == "buermann":
             e = exp_coeffs("small_e", -s, n)
-            out.append(_conv_at(e, fc, n).scale(qfac(n)))
+            out.append(conv_at(e, fc, n).scale(qfac(n)))
             continue
         e = exp_coeffs("small_e", -s, n - 1)
-        c = _conv_at(e, fd, n - 1)
+        c = conv_at(e, fd, n - 1)
         if mode == "general_b":
             e2 = exp_coeffs("small_e", -s.scale(qpow(-1)), n - 1)
-            c = c - (_B * _conv_at(e2, fc, n - 1)).scale(qpow(n - 1))
+            c = c - (_B * conv_at(e2, fc, n - 1)).scale(qpow(n - 1))
         out.append(c.scale(qfac(n - 1)))
     return out

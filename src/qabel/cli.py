@@ -417,7 +417,7 @@ def _cmd_verify(ns) -> tuple[str, int]:
             registry.get_identity(identity_id)
     if ns.max_n < 0 or ns.order < 0 or ns.jobs < 1:
         raise _UsageError("--max-n and --order must be nonnegative, --jobs positive")
-    results = registry.verify(ns.ids, max_n=ns.max_n, order=ns.order, jobs=ns.jobs)
+    results = registry.verify(ns.ids, max_n=ns.max_n, order=ns.order)
     report = Report(tuple(results), format="json" if ns.json else "text")
     return report.render(), 0 if report.all_passed else 1
 
@@ -513,6 +513,9 @@ def run_command(argv: list[str], stderr=None) -> tuple[str, int]:
     except (ParseError, UnknownFunction, ArityError, NonScalarDenominator, InvalidIndex,
             DivisionByZero, PoleAtPoint, UnknownIdentity, MissingParam, ValueError) as exc:
         print(f"error: {exc}", file=err)
+        return "", 2
+    except RecursionError:
+        print("error: input nested too deeply or index too large to evaluate", file=err)
         return "", 2
 
 

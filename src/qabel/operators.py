@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .mpoly import MPoly, Symbol, _as_mpoly
-from .qcomb import binom2, exp_weight, qfac, qint, qpow
+from .qcomb import binom2, exp_weight, qfac, qint, qpow, shift_g
 from .qfield import ONE as QR_ONE, QRat
 
 
@@ -29,20 +29,19 @@ def qderiv(p: MPoly, v: Symbol, k: int = 1) -> MPoly:
         return p
     i = v.value
     out: dict[tuple, QRat] = {}
+    # Lowering one exponent by k maps distinct keys to distinct keys, and the
+    # factor [e][e-1]...[e-k+1] is nonzero, so no term merges or cancels.
     for key, c in p._t.items():
         e = key[i]
         if e < k:
             continue
-        f = QR_ONE
-        for j in range(e, e - k, -1):
+        f = qint(e)
+        for j in range(e - 1, e - k, -1):
             f = f * qint(j)
         nk = list(key)
         nk[i] = e - k
-        nk = tuple(nk)
-        c = c * f
-        s = out.get(nk)
-        out[nk] = c if s is None else s + c
-    return MPoly._raw({k2: v2 for k2, v2 in out.items() if not v2.is_zero()})
+        out[tuple(nk)] = c * f
+    return MPoly._raw(out)
 
 
 class DSeries:
@@ -142,15 +141,15 @@ def Qn_apply(n: int, p: MPoly, form: str = "closed") -> MPoly:
     """
     if n < 1:
         raise InvalidIndex("ladder operator index must be at least 1")
-    a = MPoly.var(Symbol.a)
-    b = MPoly.var(Symbol.b)
     if form == "closed":
-        c_n = (a.scale(qint(n)) + b).scale(qpow(-(n - 1)))
-        c_prev = (a.scale(qint(n - 1)) + b).scale(qpow(-(n - 2)))
+        c_n = shift_g(n).scale(qpow(-(n - 1)))
+        c_prev = shift_g(n - 1).scale(qpow(-(n - 2)))
         out = dseries_apply(make_exp_dseries("big_E", -c_prev), p)
         out = dseries_apply(make_exp_dseries("small_e", c_n), out)
         return qderiv(out, Symbol.x, 1).scale(qpow(-(n - 1)))
     if form == "series":
+        a = MPoly.var(Symbol.a)
+        b = MPoly.var(Symbol.b)
         qn = qpow(n)
 
         def gen(i: int) -> MPoly:

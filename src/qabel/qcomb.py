@@ -1,14 +1,18 @@
 """q-combinatorial primitives: q-integers, q-factorials, Gaussian binomials,
-the q-exponential weights 1/[k]! and q^(k choose 2)/[k]!, the shifted
-products (y +- x)(y +- qx)...(y +- q^(n-1)x), and q-Pochhammer symbols.
+the q-exponential weights 1/[k]! and q^(k choose 2)/[k]!, the two Abel
+shifts [n]a + q^n b and [n]a + b, the shifted products
+(y +- x)(y +- qx)...(y +- q^(n-1)x), and q-Pochhammer symbols.
 Results are QRat scalars or MPoly values; everything is exact.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .mpoly import MPoly
+from .mpoly import MPoly, Symbol
 from .qfield import ONE, QRat
+
+_A = MPoly.var(Symbol.a)
+_B = MPoly.var(Symbol.b)
 
 
 def binom2(n: int) -> int:
@@ -52,6 +56,16 @@ def qbinom(n: int, k: int) -> QRat:
     if k == 0 or k == n:
         return ONE
     return qbinom(n - 1, k - 1) + qpow(k) * qbinom(n - 1, k)
+
+
+def shift_a(n: int) -> MPoly:
+    """The Abel shift [n]a + q^n b of the A and general B families."""
+    return _A.scale(qint(n)) + _B.scale(qpow(n))
+
+
+def shift_g(n: int) -> MPoly:
+    """The Abel shift [n]a + b of the G and w families."""
+    return _A.scale(qint(n)) + _B
 
 
 def exp_weight(kind: str, k: int) -> QRat:

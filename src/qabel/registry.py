@@ -7,12 +7,16 @@ passes iff the difference is identically zero.  Universally quantified
 statements are checked on finite parameter ranges.  Each entry declares its
 ranges as one spec, a Span per parameter; the same spec yields the checks a
 run executes and the `verified` text that `qabel list` shows, rendered at the
-`verify` defaults (max-n 6, order 8).
+`verify` defaults (max-n 6, order 8).  Identities of one shape share one
+checker, parametrised by the family (or the rate) and its Abel shift from
+`qcomb`: the rising-product expansion, the Abel series equal to E(xz),
+biorthogonality, and E(xz)/(1 - rate z).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import comb, factorial
 from typing import Callable, Iterable
 
@@ -29,7 +33,7 @@ from .operators import (
     pincherle_residual,
     qderiv,
 )
-from .qcomb import binom2, qbinom, qfac, qint, qpow, qprod
+from .qcomb import binom2, qbinom, qfac, qint, qpow, qprod, shift_a, shift_g
 from .qfield import ONE as QR_ONE, QRat
 from .series import PowerSeries, abel_sum, ps_exp
 
@@ -52,19 +56,17 @@ ZERO = MPoly.zero()
 
 _ONE_MINUS_Q = QR_ONE - qpow(1)
 
+# k -> the family member p_k or the Abel shift s_k.
+_Indexed = Callable[[int], MPoly]
+
 
 def _fam(family: FamilyId, n: int) -> MPoly:
     return abel.abel_poly(family, n)
 
 
-def _shift_a(k: int) -> MPoly:
-    """[k]a + q^k b."""
-    return A.scale(qint(k)) + B.scale(qpow(k))
-
-
-def _shift_g(k: int) -> MPoly:
-    """[k]a + b."""
-    return A.scale(qint(k)) + B
+def _fam_a_b0(k: int) -> MPoly:
+    """The degree-k member of the A family at b = 0."""
+    return _fam(FamilyId.A, k).subst(Symbol.b, ZERO)
 
 
 def _bracket_t() -> MPoly:
@@ -80,7 +82,9 @@ def _first_nonzero(*diffs: MPoly) -> MPoly:
 
 
 # --------------------------------------------------------------------------
-# Checkers.  Each returns the difference of the two sides.
+# Checkers.  Each returns the difference of the two sides, lhs - rhs.  A
+# shape that recurs across families is one checker factory, parametrised by
+# the members p_k of the family (or the rate) and its Abel shift s_k.
 # --------------------------------------------------------------------------
 
 def _chk_0_3(n: int) -> MPoly:
@@ -104,26 +108,25 @@ def _chk_limit(family: FamilyId) -> Callable[[int], MPoly]:
     return run
 
 
-def _chk_1_3(n: int) -> MPoly:
-    rhs = ZERO
-    for k in range(n + 1):
-        term = _fam(FamilyId.A, k) * qprod(Y, _shift_a(k), n - k, "plus")
-        rhs = rhs + term.scale(qbinom(n, k))
-    return qprod(Y, X, n, "plus") - rhs
+def _chk_rising(member: _Indexed, shift: _Indexed) -> Callable[[int], MPoly]:
+    """(y + x)(y + qx)...(y + q^(n-1)x) is the sum over k of
+    [n k] p_k (y + s_k)(y + q s_k)...(y + q^(n-k-1) s_k)."""
+    def run(n: int) -> MPoly:
+        rhs = ZERO
+        for k in range(n + 1):
+            term = member(k) * qprod(Y, shift(k), n - k, "plus")
+            rhs = rhs + term.scale(qbinom(n, k))
+        return qprod(Y, X, n, "plus") - rhs
+
+    return run
 
 
-def _chk_1_6(n: int) -> MPoly:
-    rhs = ZERO
-    for k in range(n + 1):
-        ak = _fam(FamilyId.A, k).subst(Symbol.b, ZERO)
-        term = ak * qprod(Y, A.scale(qint(k)), n - k, "plus")
-        rhs = rhs + term.scale(qbinom(n, k))
-    return qprod(Y, X, n, "plus") - rhs
+def _chk_abel_exp(member: _Indexed, shift: _Indexed) -> Callable[[int], PowerSeries]:
+    """The Abel series sum_k p_k/[k]! z^k E(s_k z) equals E(xz)."""
+    def run(N: int) -> PowerSeries:
+        return abel_sum(member, shift, N) - ps_exp("big_E", X, N)
 
-
-def _chk_1_5(order: int) -> PowerSeries:
-    lhs = abel_sum(lambda k: _fam(FamilyId.A, k), _shift_a, order)
-    return lhs - ps_exp("big_E", X, order)
+    return run
 
 
 def _chk_1_7(n: int) -> MPoly:
@@ -131,29 +134,14 @@ def _chk_1_7(n: int) -> MPoly:
     return _fam(FamilyId.G, n) - _fam(FamilyId.A, n).subst(Symbol.a, widened)
 
 
-def _chk_1_8(n: int) -> MPoly:
-    rhs = ZERO
-    for k in range(n + 1):
-        term = _fam(FamilyId.G, k) * qprod(Y, _shift_g(k), n - k, "plus")
-        rhs = rhs + term.scale(qbinom(n, k))
-    return qprod(Y, X, n, "plus") - rhs
+def _chk_eE(N: int) -> PowerSeries:
+    prod = ps_exp("small_e", ONE, N) * ps_exp("big_E", -ONE, N)
+    return prod - PowerSeries.constant(ONE, N)
 
 
-def _chk_1_9(order: int) -> PowerSeries:
-    lhs = abel_sum(lambda k: _fam(FamilyId.G, k), _shift_g, order)
-    return lhs - ps_exp("big_E", X, order)
-
-
-def _chk_eE(order: int) -> PowerSeries:
-    prod = ps_exp("small_e", ONE, order) * ps_exp("big_E", -ONE, order)
-    return prod - PowerSeries.constant(ONE, order)
-
-
-def _chk_e_ratio(order: int) -> PowerSeries:
-    lhs = PowerSeries(
-        order, [qprod(X, Y, k, "minus").scale(qfac(k).inv()) for k in range(order + 1)]
-    )
-    return lhs - ps_exp("small_e", X, order) / ps_exp("small_e", Y, order)
+def _chk_e_ratio(N: int) -> PowerSeries:
+    lhs = PowerSeries(N, [qprod(X, Y, k, "minus").scale(qfac(k).inv()) for k in range(N + 1)])
+    return lhs - ps_exp("small_e", X, N) / ps_exp("small_e", Y, N)
 
 
 def _chk_EaD(n: int) -> MPoly:
@@ -167,14 +155,14 @@ def _chk_2_1(n: int, k: int) -> MPoly:
         {
             Symbol.x: X.scale(qpow(k)),
             Symbol.a: A.scale(qpow(k)),
-            Symbol.b: B + A.scale(qint(k)),
+            Symbol.b: shift_g(k),
         }
     )
     return lhs - target.scale(qpow(binom2(k)) * qfac(n) * qfac(n - k).inv())
 
 
 def _chk_2_2(n: int, k: int) -> MPoly:
-    point = (B + A.scale(qint(k))).scale(qpow(-k))
+    point = shift_g(k).scale(qpow(-k))
     val = qderiv(_fam(FamilyId.G, n), Symbol.x, k).subst(Symbol.x, point)
     if k == n:
         return val - MPoly.const(qpow(binom2(k)) * qfac(k))
@@ -192,27 +180,27 @@ def _chk_2_4(n: int) -> MPoly:
     for k in range(n + 1):
         gk = _fam(FamilyId.G, k).subst_many({Symbol.a: -A, Symbol.b: -B})
         # u = Y * prod_{j=1}^{n-k-1} (Y + (1 - q^j) b + ([n] - q^j [k]) a)
-        u = ONE if k == n else Y * qprod(Y + B + A.scale(qint(n)), -_shift_g(k).scale(qpow(1)), n - k - 1)
+        u = ONE if k == n else Y * qprod(Y + shift_g(n), -shift_g(k).scale(qpow(1)), n - k - 1)
         rhs = rhs + (gk * u).scale(qbinom(n, k))
     return lhs - rhs
 
 
-def _chk_post_2_4(n: int, order: int) -> PowerSeries:
-    base = _shift_g(n)
+def _chk_post_2_4(n: int, N: int) -> PowerSeries:
+    base = shift_g(n)
 
     def coeff(k: int) -> MPoly:
         if k == 0:
             return ONE
-        return (base * _shift_g(n + k) ** (k - 1)).scale((-1) ** k)
+        return (base * shift_g(n + k) ** (k - 1)).scale((-1) ** k)
 
-    zn = PowerSeries.monomial(n, order)
-    rhs = zn * abel_sum(coeff, lambda k: _shift_g(n + k), order)
+    zn = PowerSeries.monomial(n, N)
+    rhs = zn * abel_sum(coeff, lambda k: shift_g(n + k), N)
     return zn - rhs
 
 
 def _chk_3_1(n: int) -> MPoly:
     w = _fam(FamilyId.W, n)
-    shift = _shift_g(n)
+    shift = shift_g(n)
     sum_form = ZERO
     for k in range(n + 1):
         term = (shift ** k * X ** (n - k)).scale(
@@ -232,7 +220,7 @@ def _chk_3_2(n: int) -> MPoly:
 
 def _chk_S_ladder(n: int) -> MPoly:
     recovered = dseries_apply(
-        make_exp_dseries("small_e", _shift_g(n).scale(qpow(-(n - 1)))), _fam(FamilyId.G, n)
+        make_exp_dseries("small_e", shift_g(n).scale(qpow(-(n - 1)))), _fam(FamilyId.G, n)
     ).scale(qpow(-binom2(n)))
     d1 = recovered - _fam(FamilyId.S, n)
     if not d1.is_zero() or n == 0:
@@ -251,9 +239,9 @@ def _chk_3_3_vs_3_5(n: int, d: int) -> MPoly:
     return Qn_apply(n, p, "closed") - Qn_apply(n, p, "series")
 
 
-def _chk_4_2(order: int) -> MPoly:
-    cs = abel.lagrange_coeffs(ps_exp("small_e", X, order), "plain", order)
-    return _first_nonzero(*[cs[k] - _fam(FamilyId.B_PLAIN, k) for k in range(order + 1)])
+def _chk_4_2(N: int) -> MPoly:
+    cs = abel.lagrange_coeffs(ps_exp("small_e", X, N), "plain", N)
+    return _first_nonzero(*[cs[k] - _fam(FamilyId.B_PLAIN, k) for k in range(N + 1)])
 
 
 def _chk_4_3(n: int) -> MPoly:
@@ -264,19 +252,23 @@ def _chk_4_3(n: int) -> MPoly:
     return bn - op
 
 
-def _chk_4_4(n: int, k: int) -> MPoly:
-    op = make_exp_dseries("big_E", A.scale(qint(k)))
-    val = L_functional(dseries_apply(op, qderiv(_fam(FamilyId.B_PLAIN, n), Symbol.x, k)))
-    expected = MPoly.const(qfac(n)) if k == n else ZERO
-    return val - expected
+def _chk_biorth(member: _Indexed, shift: _Indexed) -> Callable[[int, int], MPoly]:
+    """Biorthogonality: L E(s_k D) D^k p_n is [n]! when k = n, else 0."""
+    def run(n: int, k: int) -> MPoly:
+        op = make_exp_dseries("big_E", shift(k))
+        val = L_functional(dseries_apply(op, qderiv(member(n), Symbol.x, k)))
+        expected = MPoly.const(qfac(n)) if k == n else ZERO
+        return val - expected
+
+    return run
 
 
 def _chk_4_B_forms(n: int) -> MPoly:
     bg = _fam(FamilyId.B_GENERAL, n)
     closed = X ** n
-    big = _shift_a(n)
+    big = shift_a(n)
     for k in range(1, n + 1):
-        term = (big ** (k - 1) * _shift_a(n - k) * X ** (n - k)).scale(
+        term = (big ** (k - 1) * shift_a(n - k) * X ** (n - k)).scale(
             qbinom(n, k) * QRat.from_scalar((-1) ** k)
         )
         closed = closed + term
@@ -290,25 +282,14 @@ def _chk_4_B_forms(n: int) -> MPoly:
     return bg - (t1 - t2)
 
 
-def _chk_4_7(m: int, n: int) -> MPoly:
-    return pincherle_residual(m, n)
-
-
-def _chk_4_8(order: int) -> PowerSeries:
-    f = ps_exp("small_e", X, order)
-    cs = abel.lagrange_coeffs(f, "general_b", order)
-    return abel_sum(lambda k: cs[k], _shift_a, order) - f
-
-
-def _chk_4_9(n: int, k: int) -> MPoly:
-    op = make_exp_dseries("big_E", _shift_a(k))
-    val = L_functional(dseries_apply(op, qderiv(_fam(FamilyId.B_GENERAL, n), Symbol.x, k)))
-    expected = MPoly.const(qfac(n)) if k == n else ZERO
-    return val - expected
+def _chk_4_8(N: int) -> PowerSeries:
+    f = ps_exp("small_e", X, N)
+    cs = abel.lagrange_coeffs(f, "general_b", N)
+    return abel_sum(lambda k: cs[k], shift_a, N) - f
 
 
 def _chk_4_10(n: int) -> MPoly:
-    c = _shift_a(n).scale(qpow(-1))
+    c = shift_a(n).scale(qpow(-1))
     inner = dseries_apply(make_exp_dseries("small_e", -c), X ** n)
     out = inner + (A * qderiv(inner, Symbol.x, 1)).scale(qpow(-1))
     return _fam(FamilyId.B_GENERAL, n) - out
@@ -317,23 +298,24 @@ def _chk_4_10(n: int) -> MPoly:
 def _chk_4_12(n: int) -> MPoly:
     f = ps_exp("big_E", -Y, n)
     cs = abel.lagrange_coeffs(f, "buermann", n)
-    expected = qprod(-_shift_a(n).scale(qpow(-1)), Y, n, "minus")
+    expected = qprod(-shift_a(n).scale(qpow(-1)), Y, n, "minus")
     return cs[n] - expected
 
 
-def _chk_4_13(order: int) -> PowerSeries:
-    den = PowerSeries.constant(ONE, order) - PowerSeries.monomial(1, order, A)
-    lhs = ps_exp("big_E", X, order) / den
-    rhs = abel_sum(
-        lambda k: qprod(_shift_a(k), X, k, "plus"),
-        lambda k: -_shift_a(k).scale(qpow(1)),
-        order,
-    )
-    return lhs - rhs
+def _chk_geometric(rate: MPoly, shift: _Indexed) -> Callable[[int], PowerSeries]:
+    """E(xz)/(1 - rate z) as the Abel series with members
+    (s_k + x)(s_k + qx)...(s_k + q^(k-1)x) and shifts -q s_k."""
+    def run(N: int) -> PowerSeries:
+        den = PowerSeries.constant(ONE, N) - PowerSeries.monomial(1, N, rate)
+        lhs = ps_exp("big_E", X, N) / den
+        rhs = abel_sum(
+            lambda k: qprod(shift(k), X, k, "plus"),
+            lambda k: -shift(k).scale(qpow(1)),
+            N,
+        )
+        return lhs - rhs
 
-
-def _chk_5_3(i: int, k: int) -> MPoly:
-    return delta_op(T ** i, k)
+    return run
 
 
 def _chk_5_4(k: int) -> MPoly:
@@ -361,7 +343,7 @@ def _chk_5_8(n: int) -> MPoly:
 def _chk_5_9(n: int) -> MPoly:
     lhs = ZERO
     for k in range(n + 1):
-        c = B.scale(qpow(n - k)) + A.scale(qint(n - k))
+        c = shift_a(n - k)
         term = qprod(c, X, n - k, "plus") * qprod(X, c.scale(qpow(1)), k, "plus")
         lhs = lhs + term.scale(qbinom(n, k) * QRat.from_scalar((-1) ** k))
     base = T * B + _bracket_t() * A
@@ -373,41 +355,29 @@ def _chk_5_9(n: int) -> MPoly:
     return lhs - rhs
 
 
-def _chk_5_10(n: int, order: int) -> PowerSeries:
-    geom = PowerSeries(order, [A ** k for k in range(order + 1)])
-    zn = PowerSeries.monomial(n, order)
+def _chk_5_10(n: int, N: int) -> PowerSeries:
+    geom = PowerSeries(N, [A ** k for k in range(N + 1)])
+    zn = PowerSeries.monomial(n, N)
     lhs = zn * geom
 
     def shift(k: int) -> MPoly:
-        return -_shift_a(n + k).scale(qpow(1))
+        return -shift_a(n + k).scale(qpow(1))
 
-    rhs = zn * abel_sum(lambda k: _shift_a(n + k) ** k, shift, order)
+    rhs = zn * abel_sum(lambda k: shift_a(n + k) ** k, shift, N)
     return lhs - rhs
 
 
 def _chk_5_11(n: int) -> MPoly:
     rhs = ZERO
-    tail = Y - B.scale(qpow(n)) - A.scale(qint(n))
+    tail = Y - shift_a(n)
     for k in range(n + 1):
-        c = _shift_a(k)
+        c = shift_a(k)
         if k == n:
             v = ONE
         else:
             v = qprod(Y, c.scale(qpow(1)), n - k - 1, "minus") * tail
         rhs = rhs + (qprod(c, X, k, "plus") * v).scale(qbinom(n, k))
     return qprod(Y, X, n, "plus") - rhs
-
-
-def _chk_5_12(order: int) -> PowerSeries:
-    rate = A + B.scale(_ONE_MINUS_Q)
-    den = PowerSeries.constant(ONE, order) - PowerSeries.monomial(1, order, rate)
-    lhs = ps_exp("big_E", X, order) / den
-    rhs = abel_sum(
-        lambda k: qprod(_shift_g(k), X, k, "plus"),
-        lambda k: -_shift_g(k).scale(qpow(1)),
-        order,
-    )
-    return lhs - rhs
 
 
 # --------------------------------------------------------------------------
@@ -508,12 +478,17 @@ _TABLE: list[Identity] = [
              _chk_limit(FamilyId.A)),
     Identity("limit-G", "G family degenerates to the classical family at q = 1", {"n": Span()},
              _chk_limit(FamilyId.G)),
-    Identity("1.3", "q-Abel expansion of the rising product, A family", {"n": Span()}, _chk_1_3),
-    Identity("1.5", "series form of the A-family expansion", {"N": _AT_ORDER}, _chk_1_5),
-    Identity("1.6", "q-Abel expansion of the rising product at b = 0", {"n": Span()}, _chk_1_6),
+    Identity("1.3", "q-Abel expansion of the rising product, A family", {"n": Span()},
+             _chk_rising(partial(_fam, FamilyId.A), shift_a)),
+    Identity("1.5", "series form of the A-family expansion", {"N": _AT_ORDER},
+             _chk_abel_exp(partial(_fam, FamilyId.A), shift_a)),
+    Identity("1.6", "q-Abel expansion of the rising product at b = 0", {"n": Span()},
+             _chk_rising(_fam_a_b0, partial(abel.lagrange_shift, "plain"))),
     Identity("1.7", "G arises from A by widening a", {"n": Span()}, _chk_1_7),
-    Identity("1.8", "q-Abel expansion of the rising product, G family", {"n": Span()}, _chk_1_8),
-    Identity("1.9", "series form of the G-family expansion", {"N": _AT_ORDER}, _chk_1_9),
+    Identity("1.8", "q-Abel expansion of the rising product, G family", {"n": Span()},
+             _chk_rising(partial(_fam, FamilyId.G), shift_g)),
+    Identity("1.9", "series form of the G-family expansion", {"N": _AT_ORDER},
+             _chk_abel_exp(partial(_fam, FamilyId.G), shift_g)),
     Identity("eE", "the two q-exponentials are reciprocal", {"N": _AT_ORDER}, _chk_eE),
     Identity("e-ratio", "falling products generate the exponential quotient", {"N": _AT_ORDER},
              _chk_e_ratio),
@@ -533,19 +508,21 @@ _TABLE: list[Identity] = [
              {"n": Span(1), "d": Span()}, _chk_3_3_vs_3_5),
     Identity("4.2", "plain extraction on e(xz) yields the plain B family", {"N": _AT_ORDER}, _chk_4_2),
     Identity("4.3", "operator form of the plain B family", {"n": Span()}, _chk_4_3),
-    Identity("4.4", "biorthogonality of the plain B family", {"n": Span(), "k": Span()}, _chk_4_4),
+    Identity("4.4", "biorthogonality of the plain B family", {"n": Span(), "k": Span()},
+             _chk_biorth(partial(_fam, FamilyId.B_PLAIN), partial(abel.lagrange_shift, "plain"))),
     Identity("4.B-forms", "closed-sum and two-term forms of the general B family", {"n": Span()},
              _chk_4_B_forms),
     Identity("4.7", "q-Pincherle commutation residual vanishes", {"m": Span(cap=5), "n": Span()},
-             _chk_4_7),
+             pincherle_residual),
     Identity("4.8", "general-b coefficients reconstruct e(xz)", {"N": _AT_ORDER}, _chk_4_8),
-    Identity("4.9", "biorthogonality of the general B family", {"n": Span(), "k": Span()}, _chk_4_9),
+    Identity("4.9", "biorthogonality of the general B family", {"n": Span(), "k": Span()},
+             _chk_biorth(partial(_fam, FamilyId.B_GENERAL), shift_a)),
     Identity("4.10", "single-operator form of the general B family", {"n": Span()}, _chk_4_10),
     Identity("4.12", "Buermann coefficients of the falling exponential", {"n": Span()}, _chk_4_12),
     Identity("4.13", "geometric-weighted expansion of the big exponential", {"N": _AT_ORDER},
-             _chk_4_13),
+             _chk_geometric(A, shift_a)),
     Identity("5.3", "difference operator annihilates powers of t", {"i": Span(1, cap=4), "k": Span("i")},
-             _chk_5_3),
+             lambda i, k: delta_op(T ** i, k)),
     Identity("5.4", "difference operator on 1", {"k": Span()}, _chk_5_4),
     Identity("5.5", "difference operator on bracket powers", {"m": Span(cap=4), "k": Span("m")},
              _chk_5_5),
@@ -559,7 +536,8 @@ _TABLE: list[Identity] = [
     Identity("5.10", "geometric-weighted series expansion of z^n", {"n": Span(cap=3), "N": _AT_ORDER},
              _chk_5_10),
     Identity("5.11", "polynomial shadow of the geometric-weighted expansion", {"n": Span()}, _chk_5_11),
-    Identity("5.12", "geometric-weighted expansion, widened parameter", {"N": _AT_ORDER}, _chk_5_12),
+    Identity("5.12", "geometric-weighted expansion, widened parameter", {"N": _AT_ORDER},
+             _chk_geometric(A + B.scale(_ONE_MINUS_Q), shift_g)),
 ]
 
 REGISTRY: dict[str, Identity] = {ident.id: ident for ident in _TABLE}
@@ -586,16 +564,11 @@ def check_identity(identity_id: str, params: dict[str, int]) -> CheckResult:
             raise MissingParam(f"identity {identity_id} needs parameter {name!r}")
         kwargs[name] = params[name]
     start = time.perf_counter()
-    diff = ident.compute(**_map_kwargs(ident, kwargs))
+    diff = ident.compute(**kwargs)
     elapsed = time.perf_counter() - start
     if diff.is_zero():
         return CheckResult(identity_id, kwargs, "pass", None, elapsed)
     return CheckResult(identity_id, kwargs, "fail", str(diff), elapsed)
-
-
-def _map_kwargs(ident: Identity, kwargs: dict[str, int]) -> dict[str, int]:
-    """Map public parameter names onto checker argument names (N -> order)."""
-    return {("order" if k == "N" else k): v for k, v in kwargs.items()}
 
 
 def enumerate_checks(
@@ -618,13 +591,8 @@ def verify(
     ids: Iterable[str] | None = None,
     max_n: int = DEFAULT_MAX_N,
     order: int = DEFAULT_ORDER,
-    jobs: int = 1,
 ) -> list[CheckResult]:
-    """Run registry checks and return results sorted by (id, params).
-
-    The checks run one after another whatever `jobs` says: they are pure
-    Python, so worker threads would only contend for the interpreter lock.
-    """
+    """Run registry checks one after another; results sorted by (id, params)."""
     results = [check_identity(i, p) for i, p in enumerate_checks(ids, max_n=max_n, order=order)]
     results.sort(key=lambda r: (r.identity_id, tuple(sorted(r.params.items()))))
     return results

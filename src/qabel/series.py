@@ -8,7 +8,7 @@ sum_k coeff_k/[k]! z^k E(shift_k z) are provided as constructors.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from .mpoly import MPoly, _as_mpoly
 from .qcomb import exp_coeffs, qfac, qint
@@ -20,6 +20,19 @@ class OrderMismatch(ValueError):
 
 class NonUnitConstantTerm(ArithmeticError):
     """Series division by a series whose constant term is not an invertible scalar."""
+
+
+def conv_at(u: Sequence[MPoly], v: Sequence[MPoly], m: int) -> MPoly:
+    """The z^m coefficient of the product of two coefficient sequences,
+    summed in increasing index of u, zero factors skipped."""
+    acc = MPoly.zero()
+    for i in range(m + 1):
+        ui = u[i]
+        if not ui.is_zero():
+            vj = v[m - i]
+            if not vj.is_zero():
+                acc = acc + ui * vj
+    return acc
 
 
 class PowerSeries:
@@ -70,16 +83,8 @@ class PowerSeries:
 
     def __mul__(self, other: PowerSeries) -> PowerSeries:
         self._check(other)
-        n = self.order
-        out = [MPoly.zero()] * (n + 1)
-        for i, u in enumerate(self.coeffs):
-            if u.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                v = other.coeffs[j]
-                if not v.is_zero():
-                    out[i + j] = out[i + j] + u * v
-        return PowerSeries(n, out)
+        u, v = self.coeffs, other.coeffs
+        return PowerSeries(self.order, [conv_at(u, v, m) for m in range(self.order + 1)])
 
     def __truediv__(self, other: PowerSeries) -> PowerSeries:
         self._check(other)

@@ -335,3 +335,22 @@ class TestUsage:
     def test_unknown_command(self):
         _, code, err = run(["frobnicate"])
         assert code == 2
+
+
+class TestDeepRecursion:
+    # Inputs that recurse past the interpreter's depth limit end as usage
+    # errors, not as a traceback with the exit code reserved for failed checks.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "+".join(["x"] * 3000)],
+            ["expand", "(" * 2000 + "x" + ")" * 2000],
+            ["eval", "qfac(1500)", "--q", "1"],
+            ["eval", "qbinom(1500,3)", "--q", "1"],
+        ],
+        ids=["long-sum", "deep-parens", "qfac", "qbinom"],
+    )
+    def test_exits_2_with_error(self, argv):
+        out, code, err = run(argv)
+        assert (out, code) == ("", 2)
+        assert err.startswith("error: ")

@@ -107,13 +107,6 @@ class TestVerify:
         keys = [(r.identity_id, tuple(sorted(r.params.items()))) for r in results]
         assert keys == sorted(keys)
 
-    def test_jobs_match_sequential(self):
-        seq = verify(["2.1", "5.4"], max_n=3, order=4)
-        par = verify(["2.1", "5.4"], max_n=3, order=4, jobs=4)
-        assert [(r.identity_id, tuple(r.params.items()), r.status) for r in seq] == [
-            (r.identity_id, tuple(r.params.items()), r.status) for r in par
-        ]
-
 
 class TestMutationSensitivity:
     @pytest.mark.parametrize("family", list(FamilyId))
