@@ -252,7 +252,40 @@ def _index_arg(value: MPoly, what: str, allow_negative: bool = False) -> int:
 
 
 def eval_expr(tree: Expr) -> MPoly:
-    """Evaluate a parsed expression to a polynomial over the q-field."""
+    """Evaluate a parsed expression to a polynomial over the q-field.
+
+    The left spine of a chain of binary operators other than ^ is walked in
+    a loop, so a long flat sum or product recurses only into its operands.
+    """
+    spine = []
+    while isinstance(tree, BinOp) and tree.op != "^":
+        spine.append(tree)
+        tree = tree.left
+    out = _eval_leaf(tree)
+    for node in reversed(spine):
+        out = _binop(node.op, out, eval_expr(node.right))
+    return out
+
+
+def _binop(op: str, left: MPoly, right: MPoly) -> MPoly:
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if not right.is_constant():
+            raise NonScalarDenominator("denominator must be a q-only expression")
+        c = right.constant_coeff()
+        if c.is_zero():
+            raise DivisionByZero("division by zero")
+        return left.scale(c.inv())
+    raise ValueError(f"unknown operator {op!r}")
+
+
+def _eval_leaf(tree: Expr) -> MPoly:
+    """A literal, a symbol, a power or a call: anything but a spine node."""
     if isinstance(tree, IntLit):
         return MPoly.const(tree.value)
     if isinstance(tree, SymRef):
@@ -260,24 +293,7 @@ def eval_expr(tree: Expr) -> MPoly:
             return MPoly.const(QRat.q_power(1))
         return MPoly.var(Symbol[tree.name])
     if isinstance(tree, BinOp):
-        left = eval_expr(tree.left)
-        if tree.op == "^":
-            return left ** tree.right.value
-        right = eval_expr(tree.right)
-        if tree.op == "+":
-            return left + right
-        if tree.op == "-":
-            return left - right
-        if tree.op == "*":
-            return left * right
-        if tree.op == "/":
-            if not right.is_constant():
-                raise NonScalarDenominator("denominator must be a q-only expression")
-            c = right.constant_coeff()
-            if c.is_zero():
-                raise DivisionByZero("division by zero")
-            return left.scale(c.inv())
-        raise ValueError(f"unknown operator {tree.op!r}")
+        return eval_expr(tree.left) ** tree.right.value
     if isinstance(tree, Call):
         args = [eval_expr(arg) for arg in tree.args]
         name = tree.name

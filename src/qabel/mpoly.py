@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Iterable, Union
 
-from .qfield import ONE as QR_ONE, QRat, Scalar, ZERO as QR_ZERO
+from .qfield import ONE as QR_ONE, QRat, Scalar, ZERO as QR_ZERO, _render_terms
 
 CoeffLike = Union[QRat, int, Fraction]
 
@@ -41,10 +41,6 @@ class Monomial:
     @property
     def exponents(self) -> dict[Symbol, int]:
         return {s: e for s, e in zip(Symbol, self.exps) if e}
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
 
     def __str__(self) -> str:
         parts = []
@@ -127,9 +123,6 @@ class MPoly:
         i = s.value
         return max((k[i] for k in self._t), default=0)
 
-    def total_degree(self) -> int:
-        return max((sum(k) for k in self._t), default=0)
-
     def free_of(self, *symbols: Symbol) -> bool:
         idx = [s.value for s in symbols]
         return all(all(k[i] == 0 for i in idx) for k in self._t)
@@ -144,18 +137,7 @@ class MPoly:
             return other
         if not other._t:
             return self
-        out = dict(self._t)
-        for k, c in other._t.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-        return MPoly._raw(out)
+        return MPoly._raw(_collect(dict(self._t), other._t.items()))
 
     __radd__ = __add__
 
@@ -181,21 +163,11 @@ class MPoly:
             return NotImplemented
         if not self._t or not other._t:
             return _ZERO
-        out: dict[tuple, QRat] = {}
-        for k1, c1 in self._t.items():
-            for k2, c2 in other._t.items():
-                k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-                c = c1 * c2
-                s = out.get(k)
-                if s is None:
-                    out[k] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = s
-        return MPoly._raw(out)
+        return MPoly._raw(_collect({}, (
+            (tuple(e1 + e2 for e1, e2 in zip(k1, k2)), c1 * c2)
+            for k1, c1 in self._t.items()
+            for k2, c2 in other._t.items()
+        )))
 
     __rmul__ = __mul__
 
@@ -229,29 +201,42 @@ class MPoly:
         return self.subst_many({s: value})
 
     def subst_many(self, assignment: dict[Symbol, object]) -> MPoly:
-        """Simultaneous substitution of several symbols."""
+        """Simultaneous substitution of several symbols.
+
+        The product of the substituted powers is built once per combination
+        of their exponents, and each term adds its products with it straight
+        into the result's term table.
+        """
         vals = {}
         for s, v in assignment.items():
             vals[s.value] = v if isinstance(v, MPoly) else MPoly.const(_as_coeff(v))
-        out = _ZERO
+        out: dict[tuple, QRat] = {}
         powers: dict[tuple[int, int], MPoly] = {}
+        factors: dict[tuple, MPoly | None] = {}
         for k, c in self._t.items():
+            es = tuple(k[i] for i in vals)
+            if es in factors:
+                factor = factors[es]
+            else:
+                factor = None
+                for i, e in zip(vals, es):
+                    if e:
+                        p = powers.get((i, e))
+                        if p is None:
+                            p = powers[(i, e)] = vals[i] ** e
+                        factor = p if factor is None else factor * p
+                factors[es] = factor
             rest = list(k)
-            factor = None
-            for i, v in vals.items():
-                e = k[i]
+            for i in vals:
                 rest[i] = 0
-                if e:
-                    p = powers.get((i, e))
-                    if p is None:
-                        p = v ** e
-                        powers[(i, e)] = p
-                    factor = p if factor is None else factor * p
-            term = MPoly._raw({tuple(rest): c})
-            if factor is not None:
-                term = term * factor
-            out = out + term
-        return out
+            if factor is None:
+                _collect(out, ((tuple(rest), c),))
+            else:
+                _collect(out, (
+                    (tuple(e1 + e2 for e1, e2 in zip(rest, kf)), c * cf)
+                    for kf, cf in factor._t.items()
+                ))
+        return MPoly._raw(out)
 
     def eval_q1(self) -> MPoly:
         """Specialize every coefficient at q = 1; raises PoleAtPoint on a pole."""
@@ -274,6 +259,28 @@ class MPoly:
             total += term
         return total
 
+    def map_in(self, s: Symbol, factor: Callable[[int], QRat], lower: int = 0) -> MPoly:
+        """Map each term by the exponent e of s: the term c * s^e * m becomes
+        c * factor(e) * s^(e - lower) * m.
+
+        A term with e < lower, or with factor(e) zero, is dropped.  Lowering
+        one exponent by a fixed amount sends distinct monomials to distinct
+        monomials, so no two terms merge and no sum is formed.
+        """
+        i = s.value
+        out: dict[tuple, QRat] = {}
+        for k, c in self._t.items():
+            e = k[i]
+            if e < lower:
+                continue
+            f = factor(e)
+            if f.is_zero():
+                continue
+            if lower:
+                k = k[:i] + (e - lower,) + k[i + 1:]
+            out[k] = c if f.is_one() else c * f
+        return MPoly._raw(out)
+
     def coeffs_in(self, s: Symbol) -> list[MPoly]:
         """Coefficients with respect to s, index d holding the s**d part."""
         i = s.value
@@ -284,10 +291,6 @@ class MPoly:
             rest[i] = 0
             buckets[e][tuple(rest)] = c
         return [MPoly._raw(b) for b in buckets]
-
-    def coeff_of(self, mono: Monomial | tuple) -> QRat:
-        key = mono.exps if isinstance(mono, Monomial) else tuple(mono)
-        return self._t.get(key, QR_ZERO)
 
     # -- comparison and rendering --------------------------------------------------
 
@@ -303,9 +306,7 @@ class MPoly:
         return hash(frozenset(self._t.items()))
 
     def __str__(self) -> str:
-        if not self._t:
-            return "0"
-        parts: list[str] = []
+        pairs = []
         for k, c in self._sorted_items():
             mono = str(Monomial(k))
             neg = c.is_negative()
@@ -316,11 +317,8 @@ class MPoly:
                 body = mono
             else:
                 body = f"{_wrap_coeff(str(mag))}*{mono}"
-            if not parts:
-                parts.append(("-" + body) if neg else body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+            pairs.append((neg, body))
+        return _render_terms(pairs)
 
     def __repr__(self) -> str:
         return f"MPoly({self})"
@@ -336,6 +334,22 @@ def _wrap_coeff(s: str) -> str:
         elif ch == " " and depth == 0:
             return f"({s})"
     return s
+
+
+def _collect(out: dict, pairs: Iterable[tuple[tuple, QRat]]) -> dict:
+    """Add each (exponent key, nonzero coefficient) pair into the term table
+    out, in order, deleting an entry whose sum is zero; returns out."""
+    for k, c in pairs:
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        else:
+            s = s + c
+            if s.is_zero():
+                del out[k]
+            else:
+                out[k] = s
+    return out
 
 
 def _as_mpoly(v) -> MPoly:

@@ -2,9 +2,10 @@
 
 The q-derivative acts on monomials by D v^n = [n] v^(n-1), extended
 linearly; this agrees with the difference-quotient definition on every
-polynomial while staying inside the coefficient model.  Power series in D
-(DSeries) act as exact finite sums because D eventually annihilates any
-polynomial.  The module also houses the evaluation functional L, the
+polynomial while staying inside the coefficient model.  A power series in D
+(DSeries) is the map d -> its coefficients of D^0 .. D^d; it acts as an
+exact finite sum because D^(d+1) annihilates a polynomial of degree d.
+The module also houses the evaluation functional L, the
 diagonal rescaling V, the difference operator on the symbol t, the
 ladder operators Q_n, and the q-Pincherle residual.
 """
@@ -13,8 +14,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .mpoly import MPoly, Symbol, _as_mpoly
-from .qcomb import binom2, exp_weight, qfac, qint, qpow, shift_g
-from .qfield import ONE as QR_ONE, QRat
+from .qcomb import binom2, exp_coeffs, qfac, qint, qpow, shift_g
+from .qfield import ONE as QR_ONE, ZERO as QR_ZERO
 
 
 class InvalidIndex(ValueError):
@@ -27,70 +28,50 @@ def qderiv(p: MPoly, v: Symbol, k: int = 1) -> MPoly:
         raise ValueError("derivative order must be nonnegative")
     if k == 0:
         return p
-    i = v.value
-    out: dict[tuple, QRat] = {}
-    # Lowering one exponent by k maps distinct keys to distinct keys, and the
-    # factor [e][e-1]...[e-k+1] is nonzero, so no term merges or cancels.
-    for key, c in p._t.items():
-        e = key[i]
-        if e < k:
-            continue
+
+    def factor(e: int):
+        # [e][e-1]...[e-k+1], nonzero for e >= k
         f = qint(e)
         for j in range(e - 1, e - k, -1):
             f = f * qint(j)
-        nk = list(key)
-        nk[i] = e - k
-        out[tuple(nk)] = c * f
-    return MPoly._raw(out)
+        return f
+
+    return p.map_in(v, factor, lower=k)
 
 
 class DSeries:
-    """Formal power series in D, materialized on demand.
+    """Formal power series in D, given as the map d -> [coefficients of
+    D^0 .. D^d].
 
     Applying it to a polynomial of degree d in the distinguished variable
-    consults only the coefficients of D^0 .. D^d, so every application is an
+    asks once for those d + 1 coefficients, so every application is an
     exact finite sum.
     """
 
-    def __init__(self, gen: Callable[[int], MPoly]):
-        self._gen = gen
-        self._cache: list[MPoly] = []
+    def __init__(self, coeffs: Callable[[int], Sequence[MPoly]]):
+        self.coeffs = coeffs
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> DSeries:
         cs = [_as_mpoly(c) for c in coeffs]
-        zero = MPoly.zero()
-        return cls(lambda k: cs[k] if k < len(cs) else zero)
-
-    def coeff(self, k: int) -> MPoly:
-        while len(self._cache) <= k:
-            self._cache.append(_as_mpoly(self._gen(len(self._cache))))
-        return self._cache[k]
+        return cls(lambda d: cs[: d + 1] + [MPoly.zero()] * (d + 1 - len(cs)))
 
 
 def make_exp_dseries(kind: str, c) -> DSeries:
-    """Operator exponential e(cD) or E(cD) as an on-demand D-series."""
+    """Operator exponential e(cD) or E(cD) as a D-series."""
     if kind not in ("small_e", "big_E"):
         raise ValueError(f"unknown exponential kind {kind!r}")
     c = _as_mpoly(c)
-    powers = [MPoly.one()]
-
-    def gen(k: int) -> MPoly:
-        while len(powers) <= k:
-            powers.append(powers[-1] * c)
-        return powers[k].scale(exp_weight(kind, k))
-
-    return DSeries(gen)
+    return DSeries(lambda d: exp_coeffs(kind, c, d))
 
 
 def dseries_apply(op: DSeries, p: MPoly, v: Symbol = Symbol.x) -> MPoly:
     """Apply the operator series to p in the variable v (exact finite sum)."""
     out = MPoly.zero()
     dk = p
-    for k in range(p.degree_in(v) + 1):
+    for k, g in enumerate(op.coeffs(p.degree_in(v))):
         if k:
             dk = qderiv(dk, v, 1)
-        g = op.coeff(k)
         if not g.is_zero():
             out = out + g * dk
     return out
@@ -98,16 +79,12 @@ def dseries_apply(op: DSeries, p: MPoly, v: Symbol = Symbol.x) -> MPoly:
 
 def L_functional(p: MPoly, v: Symbol = Symbol.x) -> MPoly:
     """Evaluation at v = 0: the degree-0 part of p in v."""
-    return p.subst(v, MPoly.zero())
+    return p.map_in(v, lambda e: QR_ZERO if e else QR_ONE)
 
 
 def V_op(p: MPoly, v: Symbol = Symbol.x) -> MPoly:
     """Rescale the degree-m component in v by q^-(m choose 2)."""
-    out: dict[tuple, QRat] = {}
-    i = v.value
-    for key, c in p._t.items():
-        out[key] = c * qpow(-binom2(key[i]))
-    return MPoly._raw(out)
+    return p.map_in(v, lambda m: qpow(-binom2(m)))
 
 
 def delta_op(p: MPoly, k: int) -> MPoly:
@@ -118,16 +95,10 @@ def delta_op(p: MPoly, k: int) -> MPoly:
     """
     if k < 0:
         raise ValueError("difference order must be nonnegative")
-    it = Symbol.t.value
     cur = p
     for j in range(1, k + 1):
         qj = qpow(j)
-        out: dict[tuple, QRat] = {}
-        for key, c in cur._t.items():
-            c2 = c * (QR_ONE - qj * qpow(-key[it]))
-            if not c2.is_zero():
-                out[key] = c2
-        cur = MPoly._raw(out)
+        cur = cur.map_in(Symbol.t, lambda i: QR_ONE - qj * qpow(-i))
     return cur
 
 
@@ -161,7 +132,7 @@ def Qn_apply(n: int, p: MPoly, form: str = "closed") -> MPoly:
                 prod = prod * (a.scale(qint(j + 1) - qn * qint(j)) + b.scale(QR_ONE - qpow(j + 1)))
             return prod.scale(qfac(k).inv() * qpow(-(n - 1) * i))
 
-        return dseries_apply(DSeries(gen), p)
+        return dseries_apply(DSeries(lambda d: [gen(i) for i in range(d + 1)]), p)
     raise ValueError(f"unknown form {form!r}")
 
 

@@ -184,11 +184,12 @@ def _render_terms(pairs) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def render_poly(coeffs: Sequence[Fraction]) -> str:
-    """Canonical text of a polynomial in q, highest power first."""
+def render_poly(coeffs: Sequence[Scalar]) -> str:
+    """Canonical text of a polynomial in q, highest power first; the
+    coefficients may be ints or Fractions."""
     pairs = []
     for i in range(len(coeffs) - 1, -1, -1):
-        c = Fraction(coeffs[i])
+        c = coeffs[i]
         if c == 0:
             continue
         neg = c < 0
@@ -226,12 +227,6 @@ class QPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def eval(self, q0: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(q0) + c
-        return acc
 
     def __str__(self) -> str:
         return render_poly(self.coeffs)
@@ -437,10 +432,11 @@ class QRat:
         return self._c * _peval(self._np, q0) / dv
 
     def __str__(self) -> str:
-        num_s = render_poly(self.num.coeffs)
+        c = self._c.numerator if self._c.denominator == 1 else self._c
+        num_s = render_poly([c * k for k in self._np])
         if self._dp == (1,):
             return num_s
-        den_s = render_poly(self.den.coeffs)
+        den_s = render_poly(self._dp)
         if " " in num_s:
             num_s = f"({num_s})"
         if " " in den_s:

@@ -92,21 +92,13 @@ class PowerSeries:
         if g0.is_zero() or not g0.is_constant():
             raise NonUnitConstantTerm(f"constant term {g0} is not an invertible scalar")
         inv0 = g0.constant_coeff().inv()
+        # out[m] = (f[m] - sum_{j >= 1} g[j] out[m-j]) / g[0]; the zero in
+        # front of g's tail keeps the not yet computed out[m] unread.
+        tail = (MPoly.zero(),) + other.coeffs[1:]
         out: list[MPoly] = []
         for m in range(self.order + 1):
-            acc = self.coeffs[m]
-            for j in range(1, m + 1):
-                gj = other.coeffs[j]
-                if not gj.is_zero():
-                    acc = acc - gj * out[m - j]
-            out.append(acc.scale(inv0))
+            out.append((self.coeffs[m] - conv_at(tail, out, m)).scale(inv0))
         return PowerSeries(self.order, out)
-
-    def truncated(self, order: int) -> PowerSeries:
-        """Explicit truncation to a lower (or equal) order."""
-        if order > self.order:
-            raise OrderMismatch(f"cannot extend order {self.order} to {order}")
-        return PowerSeries(order, self.coeffs[: order + 1])
 
     def q_derivative(self) -> PowerSeries:
         """Termwise q-derivative in z, one order lower."""

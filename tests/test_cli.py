@@ -343,14 +343,26 @@ class TestDeepRecursion:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["expand", "+".join(["x"] * 3000)],
             ["expand", "(" * 2000 + "x" + ")" * 2000],
             ["eval", "qfac(1500)", "--q", "1"],
             ["eval", "qbinom(1500,3)", "--q", "1"],
         ],
-        ids=["long-sum", "deep-parens", "qfac", "qbinom"],
+        ids=["deep-parens", "qfac", "qbinom"],
     )
     def test_exits_2_with_error(self, argv):
         out, code, err = run(argv)
         assert (out, code) == ("", 2)
         assert err.startswith("error: ")
+
+    # A flat chain of + or * is evaluated in a loop, so its length is not
+    # limited by the interpreter's depth limit.
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["expand", "+".join(["x"] * 3000)], "0: 3000*b\n1: 3000\n"),
+            (["eval", "*".join(["x"] * 3000), "--q", "1", "--x", "1"], "1\n"),
+        ],
+        ids=["long-sum", "long-product"],
+    )
+    def test_flat_chain_succeeds(self, argv, expected):
+        assert run(argv) == (expected, 0, "")

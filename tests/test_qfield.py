@@ -183,3 +183,44 @@ def test_add_associative(r, s, t):
 @given(qrats(), qrats(), qrats())
 def test_mul_distributes(r, s, t):
     assert r * (s + t) == r * s + r * t
+
+
+def _reference_str(r: QRat) -> str:
+    """The rendering through the num/den views, one Fraction per coefficient."""
+
+    def poly(coeffs):
+        parts = []
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = Fraction(coeffs[i])
+            if c == 0:
+                continue
+            neg = c < 0
+            mag = -c if neg else c
+            if i == 0:
+                body = str(mag)
+            else:
+                var = "q" if i == 1 else f"q^{i}"
+                body = var if mag == 1 else f"{mag}*{var}"
+            if not parts:
+                parts.append(("-" + body) if neg else body)
+            else:
+                parts.append(("- " if neg else "+ ") + body)
+        return " ".join(parts) if parts else "0"
+
+    num_s = poly(r.num.coeffs)
+    if r.den.coeffs == (Fraction(1),):
+        return num_s
+    den_s = poly(r.den.coeffs)
+    if " " in num_s:
+        num_s = f"({num_s})"
+    if " " in den_s:
+        den_s = f"({den_s})"
+    return f"{num_s}/{den_s}"
+
+
+_frac_poly = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6), min_size=1, max_size=4)
+
+
+@given(st.one_of(qrats(), st.builds(QRat, _frac_poly, _frac_poly.filter(any))))
+def test_str_matches_num_den_rendering(r):
+    assert str(r) == _reference_str(r)
