@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -153,6 +154,14 @@ class TestPolyCommand:
     def test_negative_index(self):
         _, code, err = run(["poly", "G", "-1"])
         assert code == 2 and err
+
+    def test_g14_pinned(self):
+        # Its q-coefficients reach degree 169 and 45 bits, so most products
+        # in qprod are long enough to leave the schoolbook multiply.
+        out, code, err = run(["poly", "G", "14"])
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "7ca4561e8ce0042decdb03259e2f137877280a97da9b30af2fe2e93c11c4e31d"
 
 
 class TestEvalCommand:
