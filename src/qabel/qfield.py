@@ -54,15 +54,62 @@ def _padd(f: IPoly, g: IPoly) -> IPoly:
     return _trim(out)
 
 
+# Below this length of the shorter operand, _pmul multiplies schoolbook.
+_KRONECKER_MIN = 8
+
+
 def _pmul(f: IPoly, g: IPoly) -> IPoly:
+    """Product of two integer polynomials.
+
+    A unit operand returns the other one.  When the shorter operand has
+    fewer than _KRONECKER_MIN terms the product is the schoolbook sum;
+    otherwise it is one big-integer product by Kronecker substitution:
+    each operand is packed as its value at q = 2**w, and the product's
+    coefficients are read back from the w-bit chunks of F(2**w) * G(2**w).
+
+    The width w is bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 1,
+    rounded up to whole bytes.  Each product coefficient is a sum of at most
+    min(len f, len g) products of one coefficient of each operand, so its
+    magnitude is below 2**(w - 1).  Adding 2**(w - 1) to every chunk of the
+    product therefore gives digits in (0, 2**w): the sum is the base-2**w
+    expansion of those digits with no carry between chunks, and subtracting
+    2**(w - 1) from each chunk recovers the coefficients exactly.
+    """
     if not f or not g:
         return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _trim(out)
+    if f == (1,):
+        return g
+    if g == (1,):
+        return f
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) < _KRONECKER_MIN:
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+        return _trim(out)
+    lo_f, hi_f, lo_g, hi_g = min(f), max(f), min(g), max(g)
+    w = max(hi_f, -lo_f).bit_length() + max(hi_g, -lo_g).bit_length() + len(f).bit_length() + 1
+    nb = (w + 7) // 8
+    n = len(f) + len(g) - 1
+    half = (b"\0" * (nb - 1) + b"\x80") * n
+    prod = _kpack(f, nb, lo_f < 0) * _kpack(g, nb, lo_g < 0) + int.from_bytes(half, "little")
+    buf = prod.to_bytes(n * nb, "little")
+    off = 1 << (8 * nb - 1)
+    return _trim([int.from_bytes(buf[i:i + nb], "little") - off for i in range(0, n * nb, nb)])
+
+
+def _kpack(f: IPoly, nb: int, signed: bool) -> int:
+    """f evaluated at q = 2**(8 * nb), each coefficient fitting nb signed bytes."""
+    packed = int.from_bytes(b"".join([c.to_bytes(nb, "little", signed=True) for c in f]), "little")
+    if signed:
+        # A negative chunk reads as c + 2**w: take the 2**w borrow back from
+        # the next chunk up.
+        one, zero = (1).to_bytes(nb, "little"), bytes(nb)
+        packed -= int.from_bytes(b"".join([one if c < 0 else zero for c in f]), "little") << (8 * nb)
+    return packed
 
 
 def _pscale(f: IPoly, k: int) -> IPoly:
@@ -151,6 +198,8 @@ def _pgcd(f: IPoly, g: IPoly) -> IPoly:
         return _primitive(g)[1]
     if not g:
         return _primitive(f)[1]
+    if len(f) == 1 or len(g) == 1:
+        return (1,)  # a nonzero constant is a unit over Q
     vf, vg = _valuation(f), _valuation(g)
     v = min(vf, vg)
     f = _primitive(f[vf:])[1]

@@ -1,0 +1,145 @@
+"""Oracles for the integer-polynomial kernels of `qfield`.
+
+`_pmul` is compared with a schoolbook product and `_pgcd` with the PRS gcd
+it had before its constant fast path; both references are kept here, so
+the code under test never appears on the oracle side.  The closed forms at
+the end use `math.comb` only.
+"""
+from math import comb, gcd
+
+from hypothesis import given, strategies as st
+
+from qabel.qfield import _KRONECKER_MIN, QRat, _pgcd, _pmul
+
+
+def schoolbook(f, g):
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _primitive_part(f):
+    c = 0
+    for x in f:
+        c = gcd(c, x)
+    if f[-1] < 0:
+        c = -c
+    return tuple(x // c for x in f)
+
+
+def _prem_reference(f, g):
+    dg, lg = len(g) - 1, g[-1]
+    cur = list(f)
+    while len(cur) - 1 >= dg and cur:
+        lf = cur[-1]
+        cur = [c * lg for c in cur]
+        shift = len(cur) - 1 - dg
+        for i, gc in enumerate(g):
+            cur[shift + i] -= lf * gc
+        while cur and cur[-1] == 0:
+            cur.pop()
+    return tuple(cur)
+
+
+def pgcd_reference(f, g):
+    """The primitive-PRS gcd, with no fast path for constant arguments."""
+    if not f:
+        return _primitive_part(g) if g else ()
+    if not g:
+        return _primitive_part(f)
+    vf = next(i for i, c in enumerate(f) if c)
+    vg = next(i for i, c in enumerate(g) if c)
+    f, g = _primitive_part(f[vf:]), _primitive_part(g[vg:])
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        if len(g) == 1:
+            f = (1,)
+            break
+        r = _prem_reference(f, g)
+        g, f = (_primitive_part(r) if r else ()), g
+    return (0,) * min(vf, vg) + f
+
+
+@st.composite
+def ipolys(draw, max_len=40, max_bits=300):
+    """Trimmed integer polynomials of one coefficient bit size, with zeros."""
+    bits = draw(st.integers(0, max_bits))
+    bound = 2 ** bits
+    coeff = st.one_of(st.just(0), st.integers(-bound, bound))
+    cs = draw(st.lists(coeff, max_size=max_len))
+    if cs and cs[-1] == 0:
+        cs[-1] = draw(st.sampled_from([-bound, bound]))
+    return tuple(cs)
+
+
+class TestPmul:
+    @given(ipolys(), ipolys())
+    def test_matches_schoolbook(self, f, g):
+        assert _pmul(f, g) == schoolbook(f, g)
+
+    @given(ipolys(max_len=2 * _KRONECKER_MIN), ipolys(max_len=2 * _KRONECKER_MIN))
+    def test_matches_schoolbook_near_threshold(self, f, g):
+        assert _pmul(f, g) == schoolbook(f, g)
+
+    @given(ipolys())
+    def test_unit_operand_returns_other(self, f):
+        assert _pmul((1,), f) is f
+        assert _pmul(f, (1,)) is f
+
+    def test_width_bound(self):
+        # Every coefficient at the edge of its bit size and every product
+        # coefficient a full sum of equal-signed terms, so the chunks reach
+        # their largest magnitude.  At n = 2**j - 1 terms of 2**k - 1 with
+        # 2k + j a multiple of 8, the bound leaves no slack to the byte.
+        for n in sorted({_KRONECKER_MIN, _KRONECKER_MIN + 1, 15, 16, 63, 64}):
+            for k in list(range(1, 19)) + [63, 64, 200]:
+                edge = (2**k - 1, -(2**k - 1), -(2**k))
+                for a in edge:
+                    for b in edge:
+                        f, g = (a,) * n, (b,) * n
+                        assert _pmul(f, g) == schoolbook(f, g), (n, k, a, b)
+
+    def test_alternating_signs(self):
+        # Borrows on every other chunk of both operands.
+        n = 3 * _KRONECKER_MIN
+        f = tuple((-1) ** i * (2**40 - 1) for i in range(n))
+        g = tuple((-1) ** (i // 2) * (2**33 + i) for i in range(n + 5))
+        assert _pmul(f, g) == schoolbook(f, g)
+
+
+class TestPgcd:
+    @given(ipolys(max_len=6, max_bits=8), ipolys(max_len=6, max_bits=8))
+    def test_matches_reference(self, f, g):
+        assert _pgcd(f, g) == pgcd_reference(f, g)
+
+    @given(ipolys(max_len=4, max_bits=6), ipolys(max_len=4, max_bits=6), ipolys(max_len=4, max_bits=6))
+    def test_matches_reference_with_common_factor(self, f, g, h):
+        fh, gh = schoolbook(f, h), schoolbook(g, h)
+        assert _pgcd(fh, gh) == pgcd_reference(fh, gh)
+
+    @given(st.integers(-(2**64), 2**64).filter(bool), ipolys(max_len=8).filter(bool))
+    def test_constant_argument_is_unit(self, c, f):
+        assert _pgcd((c,), f) == (1,) == _pgcd(f, (c,))
+        assert pgcd_reference((c,), f) == (1,)
+
+
+class TestClosedForms:
+    """Numerators of powers against binomial coefficients: the squarings of
+    `QRat.__pow__` run far above the schoolbook threshold."""
+
+    def test_one_plus_q(self):
+        r = QRat((1, 1)) ** 200
+        assert r.den.coeffs == (1,)
+        assert r.num.coeffs == tuple(comb(200, k) for k in range(201))
+
+    def test_one_minus_q(self):
+        r = QRat((1, -1)) ** 150
+        assert r.den.coeffs == (1,)
+        assert r.num.coeffs == tuple((-1) ** k * comb(150, k) for k in range(151))
