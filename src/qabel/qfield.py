@@ -94,10 +94,9 @@ def _pmul(f: IPoly, g: IPoly) -> IPoly:
     w = max(hi_f, -lo_f).bit_length() + max(hi_g, -lo_g).bit_length() + len(f).bit_length() + 1
     nb = (w + 7) // 8
     n = len(f) + len(g) - 1
-    half = (b"\0" * (nb - 1) + b"\x80") * n
-    prod = _kpack(f, nb, lo_f < 0) * _kpack(g, nb, lo_g < 0) + int.from_bytes(half, "little")
-    buf = prod.to_bytes(n * nb, "little")
     off = 1 << (8 * nb - 1)
+    offsets = int.from_bytes((b"\0" * (nb - 1) + b"\x80") * n, "little")  # off in each chunk
+    buf = (_kpack(f, nb, lo_f < 0) * _kpack(g, nb, lo_g < 0) + offsets).to_bytes(n * nb, "little")
     return _trim([int.from_bytes(buf[i:i + nb], "little") - off for i in range(0, n * nb, nb)])
 
 
