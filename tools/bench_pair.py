@@ -46,8 +46,9 @@ def run(args) -> int:
             if proc.returncode != 0:
                 print(f"{name}: run.py exited {proc.returncode}\n{proc.stderr[-2000:]}", file=sys.stderr)
                 return 1
-            wall = json.loads(proc.stdout.splitlines()[-1])["metrics"].get("wall_s", {}).get("value")
-            print(f"{name}: wall_s {wall}", flush=True)
+            result = json.loads(proc.stdout.splitlines()[-1])
+            wall = result["metrics"].get("wall_s", {}).get("value", "-")
+            print(f"{name}: correct {result['correct']} wall_s {wall}", flush=True)
     return 0
 
 
@@ -77,22 +78,22 @@ def summarize(args) -> int:
     out = []
     for (workload, trace), sides in sorted(runs.items()):
         pairs = sorted(set(sides.get("parent", {})) & set(sides.get("change", {})))
+        if not pairs:
+            continue
         entry = {"workload": workload, "trace": trace, "pairs": len(pairs), "sides": {}, "metrics": {}}
         for side in SIDES:
-            results = [sides[side][p] for p in pairs]
-            envs = {json.dumps({k: v for k, v in env.items() if k != "seed"}, sort_keys=True) for _, env in results}
-            entry["sides"][side] = {"env": [json.loads(e) for e in sorted(envs)],
-                                    "seeds": sorted({env["seed"] for _, env in results}),
-                                    "all_correct": all(r["correct"] for r, _ in results),
-                                    "attempted": sum(r["attempted"] for r, _ in results),
-                                    "failed": sum(r["failed"] for r, _ in results)}
-        names = [k for k in sides["parent"][pairs[0]][0]["metrics"]] if pairs else []
-        for metric in names:
+            results = [sides[side][p][0] for p in pairs]
+            env = {k: v for k, v in sides[side][pairs[0]][1].items() if k != "seed"}
+            entry["sides"][side] = {"env": env, "seeds": sorted({sides[side][p][1]["seed"] for p in pairs}),
+                                    "all_correct": all(r["correct"] for r in results),
+                                    "attempted": sum(r["attempted"] for r in results),
+                                    "failed": sum(r["failed"] for r in results)}
+        for metric, first in sides["parent"][pairs[0]][0]["metrics"].items():
             vals = {s: [sides[s][p][0]["metrics"][metric]["value"] for p in pairs] for s in SIDES}
-            sign = -1 if better.get(metric, "lower") == "higher" else 1
+            direction = better.get(metric, "lower")
+            sign = -1 if direction == "higher" else 1
             won = sum(sign * c < sign * p for p, c in zip(vals["parent"], vals["change"]))
-            entry["metrics"][metric] = {"unit": sides["parent"][pairs[0]][0]["metrics"][metric]["unit"],
-                                        "better": better.get(metric, "lower"),
+            entry["metrics"][metric] = {"unit": first["unit"], "better": direction,
                                         "parent": _quartiles(vals["parent"]),
                                         "change": _quartiles(vals["change"]),
                                         "pairs_won": won}
