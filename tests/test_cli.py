@@ -375,3 +375,26 @@ class TestDeepRecursion:
     )
     def test_flat_chain_succeeds(self, argv, expected):
         assert run(argv) == (expected, 0, "")
+
+
+# Outputs whose coefficients carry a rational scalar beside a q-denominator.
+# The split of the scalar between numerator and denominator shows in their
+# text, so any change to how a coefficient stores its rational content is
+# checked against these bytes.
+@pytest.mark.parametrize(
+    "argv,fragment,digest",
+    [
+        (["expand", "3/7*q^2*x^3 - 5/(2*q-4)*a*x"], "0: 3/7*q^2*b^3 - 5/2/(q - 2)*a*b\n",
+         "1c1e0ae632a87fda4a84d548b3fcf908a88500182b040cbf71e9c071da701ace"),
+        (["expand", "(x + a)^4/(1-2*q)"], "/(2*q^4 - q^3)*a^3",
+         "093a332e21fd30a344640b3c11582c111ba89b40dc80881c5cd2517b2bf4dfdf"),
+        (["eval", "qfac(4)/(2-3*q) + x/6", "--q", "5/3", "--x", "1/2"], "-425767/8748\n",
+         "a0e3ff951f2c0d4d54945de782b20a03d8d6970b3bb00e31acd23cf1cda5e7ad"),
+    ],
+    ids=["expand-scalar-den", "expand-den-content", "eval-scalar-den"],
+)
+def test_scalar_denominators_pinned(argv, fragment, digest):
+    out, code, err = run(argv)
+    assert (code, err) == (0, "")
+    assert fragment in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
