@@ -1,7 +1,9 @@
-"""Only `mpoly` knows how a polynomial's terms are stored.
+"""Only the owning module knows how its values are stored.
 
-Every other module under src/qabel works through MPoly's public methods:
-none reads the term table `._t` or builds a polynomial with `MPoly._raw`.
+Every other module under src/qabel works through public methods: none reads
+MPoly's term table `._t` or builds a polynomial with `MPoly._raw`, and none
+reads QRat's stored numerator and denominator or builds a QRat with
+`QRat._make`.
 """
 import ast
 from pathlib import Path
@@ -9,21 +11,39 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qabel"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "mpoly.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+
+# Owning module -> the private attribute names no other module may touch.
+# The QRat list names the storage of every form it has had, so a module
+# written against an older form is caught too.
+PRIVATE = {
+    "mpoly.py": ("_t", "_raw"),
+    "qfield.py": ("_n", "_d", "_c", "_np", "_dp", "_make"),
+}
 
 
-def _term_table_uses(path: Path) -> list[str]:
+def _others(owner: str) -> list[Path]:
+    return [p for p in ALL_MODULES if p.name != owner]
+
+
+def _private_uses(path: Path, owner: str) -> list[str]:
+    names = PRIVATE[owner]
     hits = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Attribute) and node.attr in ("_t", "_raw"):
+        if isinstance(node, ast.Attribute) and node.attr in names:
             hits.append(f"{path.name}:{node.lineno}: .{node.attr}")
     return hits
 
 
 def test_modules_found():
-    assert {p.name for p in MODULES} >= {"operators.py", "series.py", "qcomb.py", "cli.py"}
+    assert {p.name for p in _others("mpoly.py")} >= {"operators.py", "series.py", "qcomb.py", "cli.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", _others("mpoly.py"), ids=lambda p: p.name)
 def test_no_term_table_access_outside_mpoly(path):
-    assert _term_table_uses(path) == []
+    assert _private_uses(path, "mpoly.py") == []
+
+
+@pytest.mark.parametrize("path", _others("qfield.py"), ids=lambda p: p.name)
+def test_no_qrat_storage_access_outside_qfield(path):
+    assert _private_uses(path, "qfield.py") == []

@@ -224,3 +224,25 @@ _frac_poly = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6)
 @given(st.one_of(qrats(), st.builds(QRat, _frac_poly, _frac_poly.filter(any))))
 def test_str_matches_num_den_rendering(r):
     assert str(r) == _reference_str(r)
+
+
+_nonzero_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+
+
+@given(qrats(), qrats(allow_zero=False))
+def test_hash_agrees_after_round_trip(r, s):
+    t = (r * s) / s
+    assert t == r and hash(t) == hash(r)
+
+
+@given(_frac_poly, _frac_poly.filter(any), _nonzero_fraction)
+def test_hash_agrees_under_common_factor(num, den, k):
+    r, t = QRat(num, den), QRat([k * c for c in num], [k * c for c in den])
+    assert t == r and hash(t) == hash(r)
+
+
+@given(st.fractions(max_denominator=50), _nonzero_fraction)
+def test_constant_hashes_as_fraction(v, k):
+    r = QRat([v * k], [k])
+    assert r.is_constant() and r.as_fraction() == v
+    assert hash(r) == hash(v) and hash(QRat.from_scalar(v)) == hash(v)
