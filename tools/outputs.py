@@ -1,0 +1,74 @@
+"""One sha256 per CLI command over its stdout, stderr and exit code.
+
+    python3 tools/outputs.py [--src DIR] > digests.txt
+
+Runs a fixed set of commands in-process with `qabel.cli.run_command`,
+importing qabel from DIR (default: this checkout's `src`), and prints one
+line per command: the digest, then the command.  The elapsed times that
+`verify` prints are masked first, so two runs of the same code print the
+same lines.  Run it against two trees and `diff` the outputs: an empty diff
+means every command printed the same bytes and exited the same way.
+
+The set: `verify` as text and as `--json` at the defaults, `verify --json
+--max-n 8 --order 10`, `list`, every family at n = 0, 1, 3, 7, `poly G 16`,
+every `lagrange` mode and built-in at 7 terms, six `expand`s and one `eval`;
+then outputs whose coefficients carry a rational scalar beside a
+q-denominator, and larger `poly` and `lagrange` runs.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import os
+import re
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FAMILIES = ("A", "B", "Bg", "G", "S", "abelc", "w")
+MODES = ("plain", "general", "buermann")
+BUILTINS = ("e_xz", "E_xz", "E_neg_yz", "z")
+EXPANDS = ("x^3", "(x + a)^3", "qbinom(4,2)*x^2 + a*x", "x^4/(1-q)", "G(3) + 2*x", "w(2) - x*qpoch(3)")
+
+# `(0.3 ms)` in verify's text report, `"elapsed_ms": 0.246` in its JSON.
+_ELAPSED = re.compile(r"\(\d+\.\d ms\)|\"elapsed_ms\": [-+.\deE]+")
+
+
+def commands() -> list[list[str]]:
+    cmds = [["verify"], ["verify", "--json"], ["verify", "--json", "--max-n", "8", "--order", "10"], ["list"]]
+    cmds += [["poly", f, str(n)] for f in FAMILIES for n in (0, 1, 3, 7)]
+    cmds += [["poly", "G", "16"]]
+    cmds += [["lagrange", "--mode", m, "--f", f, "--terms", "7"] for m in MODES for f in BUILTINS]
+    cmds += [["expand", e] for e in EXPANDS]
+    cmds += [["eval", "qbinom(6,3)*x + a/(1+q)", "--q", "2/3", "--x", "3", "--a", "1/2"]]
+    cmds += [["expand", "3/7*q^2*x^3 - 5/(2*q-4)*a*x"], ["expand", "(x + a)^4/(1-2*q)"],
+             ["eval", "qfac(4)/(2-3*q) + x/6", "--q", "5/3", "--x", "1/2"]]
+    cmds += [["poly", "A", "14"], ["poly", "w", "12"]]
+    cmds += [["lagrange", "--mode", m, "--f", "E_xz", "--terms", "12"] for m in MODES]
+    return cmds
+
+
+def digest(out: str, err: str, code: int) -> str:
+    h = hashlib.sha256()
+    for part in (out, "\0", err, "\0", str(code)):
+        h.update(_ELAPSED.sub("_", part).encode())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory to import qabel from")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from qabel.cli import __file__ as cli_file, run_command
+
+    print(f"qabel imported from {os.path.dirname(cli_file)}", file=sys.stderr)
+    for argv_ in commands():
+        err = io.StringIO()
+        out, code = run_command(argv_, stderr=err)
+        print(digest(out, err.getvalue(), code), " ".join(argv_), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
