@@ -1,11 +1,12 @@
 """Exact arithmetic in the field of rational functions of q over the rationals.
 
 A value is a reduced fraction of polynomials in the single indeterminate q.
-The canonical form is unique: numerator and denominator share no polynomial
-factor, the denominator is a primitive integer polynomial with positive
-leading coefficient, and the remaining rational scalar is absorbed into the
-numerator.  Equality is therefore plain representation equality, and the
-text rendering of a value is bit-reproducible.
+It is stored as a pair (n, d) of integer polynomials with no common factor
+in Z[q], integer content included, and with d positive-led; zero is
+((), (1,)).  This form is unique, so equality is plain representation
+equality.  The views and the text show the denominator as a primitive
+integer polynomial, with its content divided into the numerator's
+coefficients, and the rendering of a value is bit-reproducible.
 
 All values are immutable and freely shareable between threads.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _lcm
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -214,6 +215,17 @@ def _pgcd(f: IPoly, g: IPoly) -> IPoly:
     return _pshift(f, v)
 
 
+def _zgcd(f: IPoly, g: IPoly) -> IPoly:
+    """gcd in Z[q] of two nonzero polynomials, with positive leading coefficient."""
+    if f == (1,) or g == (1,):
+        return (1,)
+    c = _int_gcd(_content(f), _content(g))
+    if len(f) == 1 or len(g) == 1:
+        return (c,)
+    p = _pgcd(f, g)
+    return p if c == 1 else _pscale(p, c)
+
+
 def _peval(f: IPoly, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(f):
@@ -283,81 +295,80 @@ class QPoly:
 class QRat:
     """Element of the field of rational functions in q, in canonical form.
 
-    Internally stored as a rational scalar times a quotient of coprime
-    primitive integer polynomials with positive leading coefficients.
+    Stored as a pair (n, d) of integer polynomials that are coprime in Z[q],
+    integer content included, with d positive-led; zero is ((), (1,)).
     """
 
-    __slots__ = ("_c", "_np", "_dp")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num: Sequence[Scalar], den: Sequence[Scalar] = (1,)):
-        cn, pn = _fraction_coeffs_to_int(num)
-        cd, pd = _fraction_coeffs_to_int(den)
-        if not pd:
+        fn = [Fraction(c) for c in num]
+        fd = [Fraction(c) for c in den]
+        m = _lcm(*(c.denominator for c in fn + fd))
+        n = _trim([c.numerator * (m // c.denominator) for c in fn])
+        d = _trim([c.numerator * (m // c.denominator) for c in fd])
+        if not d:
             raise DivisionByZero("zero denominator")
-        if not pn:
-            self._c, self._np, self._dp = Fraction(0), (), (1,)
-            return
-        sn, pn = _primitive(pn)
-        sd, pd = _primitive(pd)
-        g = _pgcd(pn, pd)
-        if g != (1,):
-            pn = _divexact(pn, g)
-            pd = _divexact(pd, g)
-        self._c = Fraction(cd * sn, cn * sd)
-        self._np = pn
-        self._dp = pd
+        if not n:
+            n, d = (), (1,)
+        else:
+            g = _zgcd(n, d)
+            if g != (1,):
+                n, d = _divexact(n, g), _divexact(d, g)
+            if d[-1] < 0:
+                n, d = _pscale(n, -1), _pscale(d, -1)
+        self._n, self._d = n, d
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def _make(cls, c: Fraction, np: IPoly, dp: IPoly) -> QRat:
+    def _make(cls, n: IPoly, d: IPoly) -> QRat:
         self = object.__new__(cls)
-        if c == 0 or not np:
-            self._c, self._np, self._dp = Fraction(0), (), (1,)
-        else:
-            self._c, self._np, self._dp = c, np, dp
+        self._n, self._d = n, d
         return self
 
     @classmethod
     def from_scalar(cls, v: Scalar) -> QRat:
         f = Fraction(v)
-        return cls._make(f, (1,), (1,)) if f else ZERO
+        return cls._make((f.numerator,), (f.denominator,)) if f else ZERO
 
     @classmethod
     def q_power(cls, k: int) -> QRat:
         """q**k as a field element; negative k lands the power in the denominator."""
         if k >= 0:
-            return cls._make(Fraction(1), _pshift((1,), k), (1,))
-        return cls._make(Fraction(1), (1,), _pshift((1,), -k))
+            return cls._make(_pshift((1,), k), (1,))
+        return cls._make((1,), _pshift((1,), -k))
 
     # -- views ---------------------------------------------------------------
 
     @property
     def num(self) -> QPoly:
-        return QPoly(tuple(self._c * k for k in self._np))
+        s = _content(self._d)
+        return QPoly(tuple(Fraction(k, s) for k in self._n))
 
     @property
     def den(self) -> QPoly:
-        return QPoly(tuple(Fraction(k) for k in self._dp))
+        s = _content(self._d)
+        return QPoly(tuple(Fraction(k // s) for k in self._d))
 
     def is_zero(self) -> bool:
-        return not self._np
+        return not self._n
 
     def is_one(self) -> bool:
-        return self._c == 1 and self._np == (1,) and self._dp == (1,)
+        return self._n == (1,) and self._d == (1,)
 
     def is_constant(self) -> bool:
         """True when the value is a plain rational number (free of q)."""
-        return len(self._np) <= 1 and self._dp == (1,)
+        return len(self._n) <= 1 and len(self._d) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self._c if self._np else Fraction(0)
+        return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
 
     def is_negative(self) -> bool:
         """Sign of the canonical numerator (denominator is always positive-led)."""
-        return self._c < 0
+        return bool(self._n) and self._n[-1] < 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -369,28 +380,24 @@ class QRat:
             return other
         if other.is_zero():
             return self
-        g = _pgcd(self._dp, other._dp)
-        d1 = _divexact(self._dp, g)
-        d2 = _divexact(other._dp, g)
-        c1, c2 = self._c, other._c
-        lden = c1.denominator * c2.denominator // _int_gcd(c1.denominator, c2.denominator)
-        m1 = c1.numerator * (lden // c1.denominator)
-        m2 = c2.numerator * (lden // c2.denominator)
-        t = _padd(_pscale(_pmul(self._np, d2), m1), _pscale(_pmul(other._np, d1), m2))
+        # Henrici: with g = gcd(d1, d2), the sum n1*(d2/g) + n2*(d1/g) is
+        # coprime to d1/g and to d2/g, so only g can share a factor with it.
+        g = _zgcd(self._d, other._d)
+        e1 = _divexact(self._d, g)
+        e2 = _divexact(other._d, g)
+        t = _padd(_pmul(self._n, e2), _pmul(other._n, e1))
         if not t:
             return ZERO
-        ct, tp = _primitive(t)
-        g2 = _pgcd(tp, g)
-        if g2 != (1,):
-            tp = _divexact(tp, g2)
-            g = _divexact(g, g2)
-        den = _pmul(_pmul(d1, g), d2)
-        return QRat._make(Fraction(ct, lden), tp, den)
+        h = _zgcd(t, g)
+        if h != (1,):
+            t = _divexact(t, h)
+            g = _divexact(g, h)
+        return QRat._make(t, _pmul(_pmul(e1, g), e2))
 
     __radd__ = __add__
 
     def __neg__(self) -> QRat:
-        return QRat._make(-self._c, self._np, self._dp)
+        return QRat._make(_pscale(self._n, -1), self._d)
 
     def __sub__(self, other) -> QRat:
         other = _coerce(other)
@@ -410,18 +417,20 @@ class QRat:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return ZERO
-        g1 = _pgcd(self._np, other._dp)
-        g2 = _pgcd(other._np, self._dp)
-        np = _pmul(_divexact(self._np, g1), _divexact(other._np, g2))
-        dp = _pmul(_divexact(self._dp, g2), _divexact(other._dp, g1))
-        return QRat._make(self._c * other._c, np, dp)
+        g1 = _zgcd(self._n, other._d)
+        g2 = _zgcd(other._n, self._d)
+        n = _pmul(_divexact(self._n, g1), _divexact(other._n, g2))
+        d = _pmul(_divexact(self._d, g2), _divexact(other._d, g1))
+        return QRat._make(n, d)
 
     __rmul__ = __mul__
 
     def inv(self) -> QRat:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return QRat._make(1 / self._c, self._dp, self._np)
+        if self._n[-1] < 0:
+            return QRat._make(_pscale(self._d, -1), _pscale(self._n, -1))
+        return QRat._make(self._d, self._n)
 
     def __truediv__(self, other) -> QRat:
         other = _coerce(other)
@@ -444,18 +453,17 @@ class QRat:
         if n < 0:
             base = self.inv()
             n = -n
-        np, dp = (1,), (1,)
-        bn, bd = base._np, base._dp
-        e = n
-        while e:
-            if e & 1:
-                np = _pmul(np, bn)
-                dp = _pmul(dp, bd)
-            e >>= 1
-            if e:
+        rn, rd = (1,), (1,)
+        bn, bd = base._n, base._d
+        while n:
+            if n & 1:
+                rn = _pmul(rn, bn)
+                rd = _pmul(rd, bd)
+            n >>= 1
+            if n:
                 bn = _pmul(bn, bn)
                 bd = _pmul(bd, bd)
-        return QRat._make(base._c ** n, np, dp)
+        return QRat._make(rn, rd)
 
     # -- comparison, evaluation, rendering ------------------------------------
 
@@ -463,28 +471,30 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._c == other._c and self._np == other._np and self._dp == other._dp
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
         if self.is_constant():
             return hash(self.as_fraction())
-        return hash((self._c, self._np, self._dp))
+        return hash((self._n, self._d))
 
     def eval(self, q0: Scalar) -> Fraction:
         q0 = Fraction(q0)
-        dv = _peval(self._dp, q0)
+        dv = _peval(self._d, q0)
         if dv == 0:
             raise PoleAtPoint(q0)
-        if not self._np:
-            return Fraction(0)
-        return self._c * _peval(self._np, q0) / dv
+        return _peval(self._n, q0) / dv
 
     def __str__(self) -> str:
-        c = self._c.numerator if self._c.denominator == 1 else self._c
-        num_s = render_poly([c * k for k in self._np])
-        if self._dp == (1,):
+        # The text shows the primitive denominator, its content moved to
+        # the numerator's coefficients.
+        n, d, s = self._n, self._d, _content(self._d)
+        if s != 1:
+            n, d = [Fraction(k, s) for k in n], [k // s for k in d]
+        num_s = render_poly(n)
+        if len(d) == 1:
             return num_s
-        den_s = render_poly(self._dp)
+        den_s = render_poly(d)
         if " " in num_s:
             num_s = f"({num_s})"
         if " " in den_s:
@@ -495,20 +505,6 @@ class QRat:
         return f"QRat({self})"
 
 
-def _fraction_coeffs_to_int(coeffs: Sequence[Scalar]) -> tuple[int, IPoly]:
-    """Clear denominators: return (L, ints) such that coeffs == ints / L."""
-    fs = [Fraction(c) for c in coeffs]
-    while fs and fs[-1] == 0:
-        fs.pop()
-    if not fs:
-        return 1, ()
-    lden = 1
-    for f in fs:
-        lden = lden * f.denominator // _int_gcd(lden, f.denominator)
-    ints = _trim([int(f * lden) for f in fs])
-    return lden, ints
-
-
 def _coerce(v) -> QRat:
     if isinstance(v, QRat):
         return v
@@ -517,9 +513,9 @@ def _coerce(v) -> QRat:
     return NotImplemented
 
 
-ZERO = QRat._make(Fraction(0), (), (1,))
-ONE = QRat._make(Fraction(1), (1,), (1,))
-Q = QRat._make(Fraction(1), (0, 1), (1,))
+ZERO = QRat._make((), (1,))
+ONE = QRat._make((1,), (1,))
+Q = QRat._make((0, 1), (1,))
 
 
 # --------------------------------------------------------------------------
