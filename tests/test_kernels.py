@@ -7,7 +7,7 @@ the end use `math.comb` only.
 """
 from math import comb, gcd
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qabel.qfield import _KRONECKER_MIN, QRat, _pgcd, _pmul
 
@@ -90,6 +90,7 @@ class TestPmul:
 
     @given(ipolys())
     def test_unit_operand_returns_other(self, f):
+        assume(f != (1,))  # both operands are units: either one may come back
         assert _pmul((1,), f) is f
         assert _pmul(f, (1,)) is f
 

@@ -9,6 +9,14 @@ line per command: the digest, then the command.  The elapsed times that
 same lines.  Run it against two trees and `diff` the outputs: an empty diff
 means every command printed the same bytes and exited the same way.
 
+`tests/outputs.sha256` holds this tool's output for the current tree, and
+`tests/test_outputs.py` reruns every command against it.  After a
+deliberate change of output, or of the command set, re-pin with
+
+    python3 tools/outputs.py > tests/outputs.sha256
+
+and say in the change's notes which commands changed and why.
+
 The set: `verify` as text and as `--json` at the defaults, `verify --json
 --max-n 8 --order 10`, `list`, every family at n = 0, 1, 3, 7, `poly G 16`,
 every `lagrange` mode and built-in at 7 terms, six `expand`s and one `eval`;
