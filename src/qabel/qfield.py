@@ -4,9 +4,11 @@ A value is a reduced fraction of polynomials in the single indeterminate q.
 It is stored as a pair (n, d) of integer polynomials with no common factor
 in Z[q], integer content included, and with d positive-led; zero is
 ((), (1,)).  This form is unique, so equality is plain representation
-equality.  The views and the text show the denominator as a primitive
-integer polynomial, with its content divided into the numerator's
-coefficients, and the rendering of a value is bit-reproducible.
+equality.  Every reduction takes one gcd in Z[q], `_pgcd`: the gcd of the
+integer contents times the primitive-PRS gcd of the primitive parts.  The
+views and the text show the denominator as a primitive integer polynomial,
+with its content divided into the numerator's coefficients, and the
+rendering of a value is bit-reproducible.
 
 All values are immutable and freely shareable between threads.
 """
@@ -193,37 +195,27 @@ def _prem(f: IPoly, g: IPoly) -> IPoly:
 
 
 def _pgcd(f: IPoly, g: IPoly) -> IPoly:
-    """Primitive gcd with positive leading coefficient (gcd over the rationals)."""
-    if not f:
-        return _primitive(g)[1]
-    if not g:
-        return _primitive(f)[1]
-    if len(f) == 1 or len(g) == 1:
-        return (1,)  # a nonzero constant is a unit over Q
+    """gcd in Z[q] of two nonzero polynomials, with positive leading coefficient.
+
+    In a UFD the gcd is gcd(contents) * gcd(primitive parts) (Knuth, TAOCP
+    vol. 2, 4.6.1).  The lowest power of q is split off first, so a monomial
+    costs no remainder; each operand is then split once into content and
+    primitive part, and the parts go through the primitive PRS.
+    """
+    if f == (1,) or g == (1,):
+        return (1,)
     vf, vg = _valuation(f), _valuation(g)
-    v = min(vf, vg)
-    f = _primitive(f[vf:])[1]
-    g = _primitive(g[vg:])[1]
+    cf, f = _primitive(f[vf:])
+    cg, g = _primitive(g[vg:])
+    c = _int_gcd(cf, cg)
     if len(f) < len(g):
         f, g = g, f
     while g:
         if len(g) == 1:
             f = (1,)
             break
-        r = _prem(f, g)
-        f, g = g, _primitive(r)[1]
-    return _pshift(f, v)
-
-
-def _zgcd(f: IPoly, g: IPoly) -> IPoly:
-    """gcd in Z[q] of two nonzero polynomials, with positive leading coefficient."""
-    if f == (1,) or g == (1,):
-        return (1,)
-    c = _int_gcd(_content(f), _content(g))
-    if len(f) == 1 or len(g) == 1:
-        return (c,)
-    p = _pgcd(f, g)
-    return p if c == 1 else _pscale(p, c)
+        f, g = g, _primitive(_prem(f, g))[1]
+    return _pshift(f if c == 1 else _pscale(f, c), min(vf, vg))
 
 
 def _peval(f: IPoly, x: Fraction) -> Fraction:
@@ -312,9 +304,8 @@ class QRat:
         if not n:
             n, d = (), (1,)
         else:
-            g = _zgcd(n, d)
-            if g != (1,):
-                n, d = _divexact(n, g), _divexact(d, g)
+            g = _pgcd(n, d)
+            n, d = _divexact(n, g), _divexact(d, g)
             if d[-1] < 0:
                 n, d = _pscale(n, -1), _pscale(d, -1)
         self._n, self._d = n, d
@@ -382,17 +373,15 @@ class QRat:
             return self
         # Henrici: with g = gcd(d1, d2), the sum n1*(d2/g) + n2*(d1/g) is
         # coprime to d1/g and to d2/g, so only g can share a factor with it.
-        g = _zgcd(self._d, other._d)
+        g = _pgcd(self._d, other._d)
         e1 = _divexact(self._d, g)
         e2 = _divexact(other._d, g)
         t = _padd(_pmul(self._n, e2), _pmul(other._n, e1))
         if not t:
             return ZERO
-        h = _zgcd(t, g)
-        if h != (1,):
-            t = _divexact(t, h)
-            g = _divexact(g, h)
-        return QRat._make(t, _pmul(_pmul(e1, g), e2))
+        # The reduced denominator d1*d2/(g*h) is e1 * (d2/h).
+        h = _pgcd(t, g)
+        return QRat._make(_divexact(t, h), _pmul(e1, _divexact(other._d, h)))
 
     __radd__ = __add__
 
@@ -417,8 +406,8 @@ class QRat:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return ZERO
-        g1 = _zgcd(self._n, other._d)
-        g2 = _zgcd(other._n, self._d)
+        g1 = _pgcd(self._n, other._d)
+        g2 = _pgcd(other._n, self._d)
         n = _pmul(_divexact(self._n, g1), _divexact(other._n, g2))
         d = _pmul(_divexact(self._d, g2), _divexact(other._d, g1))
         return QRat._make(n, d)
