@@ -21,7 +21,10 @@ The set: `verify` as text and as `--json` at the defaults, `verify --json
 --max-n 8 --order 10`, `list`, every family at n = 0, 1, 3, 7, `poly G 16`,
 every `lagrange` mode and built-in at 7 terms, six `expand`s and one `eval`;
 then outputs whose coefficients carry a rational scalar beside a
-q-denominator, and larger `poly` and `lagrange` runs.
+q-denominator, and larger `poly` and `lagrange` runs.  Last comes the error
+corpus: usage errors, parse errors, every message of an invalid function
+index, evaluation errors, and inputs past the interpreter's depth limit,
+each of which must exit 2 with its own `error: ...` line.
 """
 from __future__ import annotations
 
@@ -37,6 +40,19 @@ FAMILIES = ("A", "B", "Bg", "G", "S", "abelc", "w")
 MODES = ("plain", "general", "buermann")
 BUILTINS = ("e_xz", "E_xz", "E_neg_yz", "z")
 EXPANDS = ("x^3", "(x + a)^3", "qbinom(4,2)*x^2 + a*x", "x^4/(1-q)", "G(3) + 2*x", "w(2) - x*qpoch(3)")
+USAGE_ERRORS = (
+    [], ["frobnicate"], ["verify", "--order", "x"], ["verify", "--jobs", "0"], ["verify", "--max-n", "-1"],
+    ["verify", "--id", "99.9"], ["verify", "--id", "99.9", "--max-n", "-1"], ["poly", "H", "2"], ["poly", "G", "-1"],
+    ["lagrange", "--mode", "weird", "--f", "z", "--terms", "2"],
+    ["lagrange", "--mode", "plain", "--f", "frob", "--terms", "2"],
+    ["lagrange", "--mode", "plain", "--f", "z", "--terms", "-1"], ["lagrange", "--mode", "plain", "--f", "z"],
+)
+PARSE_ERRORS = ("x +", "1 2", "x^a", "x ? 1", "G", "z + 1", "(x", "frob(2)", "qbinom(4)")
+INDEX_ERRORS = ("qnum(x)", "qnum(q)", "qnum(1/2)", "qfac(0-1)", "qbinom(0-3,1)", "qpoch(x,0-1)", "G(0-1)")
+EVAL_ERRORS = (
+    ["expand", "1/x"], ["expand", "x/(1-1)"], ["eval", "x/(1-q)", "--q", "1", "--x", "1"], ["eval", "x + 1", "--q", "1"],
+    ["expand", "(" * 2000 + "x" + ")" * 2000], ["eval", "qfac(1500)", "--q", "1"], ["eval", "qbinom(1500,3)", "--q", "1"],
+)
 
 # `(0.3 ms)` in verify's text report, `"elapsed_ms": 0.246` in its JSON.
 _ELAPSED = re.compile(r"\(\d+\.\d ms\)|\"elapsed_ms\": [-+.\deE]+")
@@ -53,6 +69,8 @@ def commands() -> list[list[str]]:
              ["eval", "qfac(4)/(2-3*q) + x/6", "--q", "5/3", "--x", "1/2"]]
     cmds += [["poly", "A", "14"], ["poly", "w", "12"]]
     cmds += [["lagrange", "--mode", m, "--f", "E_xz", "--terms", "12"] for m in MODES]
+    cmds += [list(c) for c in USAGE_ERRORS] + [["expand", e] for e in PARSE_ERRORS + INDEX_ERRORS]
+    cmds += [list(c) for c in EVAL_ERRORS]
     return cmds
 
 
