@@ -81,20 +81,6 @@ class Call:
 
 Expr = Union[IntLit, SymRef, BinOp, Call]
 
-_FUNCTIONS = {
-    "qnum": 1,
-    "qfac": 1,
-    "qbinom": 2,
-    "qpoch": 2,
-    "A": 1,
-    "G": 1,
-    "B": 1,
-    "Bg": 1,
-    "w": 1,
-    "S": 1,
-    "abelc": 1,
-}
-
 _SYMBOLS = ("x", "y", "a", "b", "q")
 
 _FAMILY_BY_NAME = {
@@ -202,7 +188,7 @@ class _Parser:
                 return self.call(value, pos)
             if value in _SYMBOLS:
                 return SymRef(value)
-            if value in _FUNCTIONS:
+            if value in _CALLS:
                 raise ParseError(f"function {value!r} needs arguments", pos, {"("})
             raise ParseError(f"unknown symbol {value!r}", pos, set(_SYMBOLS))
         if kind == "OP" and value == "(":
@@ -213,7 +199,7 @@ class _Parser:
         raise ParseError("expected a value", pos, {"integer", "symbol", "(", "function"})
 
     def call(self, name: str, pos: int) -> Expr:
-        if name not in _FUNCTIONS:
+        if name not in _CALLS:
             raise UnknownFunction(f"unknown function {name!r}")
         self.expect_op("(")
         args = [self.expr()]
@@ -221,8 +207,9 @@ class _Parser:
             self.advance()
             args.append(self.expr())
         self.expect_op(")")
-        if len(args) != _FUNCTIONS[name]:
-            raise ArityError(f"{name} takes {_FUNCTIONS[name]} argument(s), got {len(args)}")
+        arity = _CALLS[name][0]
+        if len(args) != arity:
+            raise ArityError(f"{name} takes {arity} argument(s), got {len(args)}")
         return Call(name, tuple(args))
 
 
@@ -249,6 +236,22 @@ def _index_arg(value: MPoly, what: str, allow_negative: bool = False) -> int:
     if n < 0 and not allow_negative:
         raise InvalidIndex(f"{what} must be nonnegative")
     return n
+
+
+def _family_call(family: FamilyId):
+    return lambda n: abel_poly(family, _index_arg(n, "family index"))
+
+
+# Each expression function: its arity and the builder applied to its
+# evaluated arguments.
+_CALLS = {
+    "qnum": (1, lambda n: MPoly.const(qint(_index_arg(n, "q-integer index")))),
+    "qfac": (1, lambda n: MPoly.const(qfac(_index_arg(n, "q-factorial index")))),
+    "qbinom": (2, lambda n, k: MPoly.const(qbinom(_index_arg(n, "upper index"),
+                                                   _index_arg(k, "lower index", allow_negative=True)))),
+    "qpoch": (2, lambda u, n: qpoch(u, _index_arg(n, "product length"))),
+    **{name: (1, _family_call(family)) for name, family in _FAMILY_BY_NAME.items()},
+}
 
 
 def eval_expr(tree: Expr) -> MPoly:
@@ -295,20 +298,7 @@ def _eval_leaf(tree: Expr) -> MPoly:
     if isinstance(tree, BinOp):
         return eval_expr(tree.left) ** tree.right.value
     if isinstance(tree, Call):
-        args = [eval_expr(arg) for arg in tree.args]
-        name = tree.name
-        if name == "qnum":
-            return MPoly.const(qint(_index_arg(args[0], "q-integer index")))
-        if name == "qfac":
-            return MPoly.const(qfac(_index_arg(args[0], "q-factorial index")))
-        if name == "qbinom":
-            n = _index_arg(args[0], "upper index")
-            k = _index_arg(args[1], "lower index", allow_negative=True)
-            return MPoly.const(qbinom(n, k))
-        if name == "qpoch":
-            return qpoch(args[0], _index_arg(args[1], "product length"))
-        family = _FAMILY_BY_NAME[name]
-        return abel_poly(family, _index_arg(args[0], "family index"))
+        return _CALLS[tree.name][1](*[eval_expr(arg) for arg in tree.args])
     raise TypeError(f"not an expression node: {tree!r}")
 
 
@@ -321,56 +311,35 @@ class Report:
     entries: tuple[CheckResult, ...]
     format: str = "text"
 
-    @property
-    def total(self) -> int:
-        return len(self.entries)
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for e in self.entries if e.passed)
-
-    @property
-    def failed(self) -> int:
-        return self.total - self.passed
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0
-
     def render(self) -> str:
-        return self.to_json() if self.format == "json" else self.to_text()
-
-    def _param_text(self, entry: CheckResult) -> str:
-        return " ".join(f"{k}={v}" for k, v in entry.params.items())
-
-    def to_text(self) -> str:
+        total = len(self.entries)
+        passed = sum(1 for e in self.entries if e.passed)
+        if self.format == "json":
+            payload = {
+                "entries": [
+                    {
+                        "identity": e.identity_id,
+                        "params": e.params,
+                        "status": e.status,
+                        "difference": e.difference,
+                        "elapsed_ms": round(e.elapsed * 1000, 3),
+                    }
+                    for e in self.entries
+                ],
+                "total": total,
+                "passed": passed,
+                "failed": total - passed,
+            }
+            return json.dumps(payload, indent=2) + "\n"
         lines = []
         for e in self.entries:
-            status = "pass" if e.passed else "FAIL"
-            line = f"{status}  {e.identity_id}  {self._param_text(e)}  ({e.elapsed * 1000:.1f} ms)"
+            params = " ".join(f"{k}={v}" for k, v in e.params.items())
+            line = f"{'pass' if e.passed else 'FAIL'}  {e.identity_id}  {params}  ({e.elapsed * 1000:.1f} ms)"
             if e.difference is not None:
                 line += f"  difference: {e.difference}"
             lines.append(line)
-        lines.append(f"total {self.total}  passed {self.passed}  failed {self.failed}")
+        lines.append(f"total {total}  passed {passed}  failed {total - passed}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "entries": [
-                {
-                    "identity": e.identity_id,
-                    "params": e.params,
-                    "status": e.status,
-                    "difference": e.difference,
-                    "elapsed_ms": round(e.elapsed * 1000, 3),
-                }
-                for e in self.entries
-            ],
-            "total": self.total,
-            "passed": self.passed,
-            "failed": self.failed,
-        }
-        return json.dumps(payload, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -379,6 +348,18 @@ class Report:
 
 class _UsageError(Exception):
     pass
+
+
+# The lagrange built-in series (--f), each built at a given order, and the
+# CLI's names for the library's lagrange modes (--mode).
+_SERIES = {
+    "e_xz": lambda order: ps_exp("small_e", MPoly.var(Symbol.x), order),
+    "E_xz": lambda order: ps_exp("big_E", MPoly.var(Symbol.x), order),
+    "E_neg_yz": lambda order: ps_exp("big_E", -MPoly.var(Symbol.y), order),
+    "z": lambda order: PowerSeries.monomial(1, order),
+}
+
+_MODES = {"plain": "plain", "general": "general_b", "buermann": "buermann"}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -405,9 +386,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("expression")
 
     p_lagrange = sub.add_parser("lagrange", help="coefficient extraction for built-in series")
-    p_lagrange.add_argument("--mode", required=True, choices=["plain", "general", "buermann"])
-    p_lagrange.add_argument("--f", required=True, dest="builtin",
-                            choices=["e_xz", "E_xz", "E_neg_yz", "z"])
+    p_lagrange.add_argument("--mode", required=True, choices=_MODES)
+    p_lagrange.add_argument("--f", required=True, dest="builtin", choices=_SERIES)
     p_lagrange.add_argument("--terms", required=True, type=int)
 
     p_eval = sub.add_parser("eval", help="exact rational evaluation of an expression")
@@ -435,7 +415,7 @@ def _cmd_verify(ns) -> tuple[str, int]:
         raise _UsageError("--max-n and --order must be nonnegative, --jobs positive")
     results = registry.verify(ns.ids, max_n=ns.max_n, order=ns.order)
     report = Report(tuple(results), format="json" if ns.json else "text")
-    return report.render(), 0 if report.all_passed else 1
+    return report.render(), 0 if all(e.passed for e in results) else 1
 
 
 def _cmd_poly(ns) -> tuple[str, int]:
@@ -444,31 +424,19 @@ def _cmd_poly(ns) -> tuple[str, int]:
     return str(abel_poly(_FAMILY_BY_NAME[ns.family], ns.n)) + "\n", 0
 
 
+def _numbered(coeffs) -> str:
+    """One `k: c` line per coefficient."""
+    return "\n".join(f"{k}: {c}" for k, c in enumerate(coeffs)) + "\n"
+
+
 def _cmd_expand(ns) -> tuple[str, int]:
-    poly = eval_expr(parse_expr(ns.expression))
-    coeffs = abel_expand(poly).coeffs
-    lines = [f"{k}: {c}" for k, c in enumerate(coeffs)]
-    return "\n".join(lines) + "\n", 0
+    return _numbered(abel_expand(eval_expr(parse_expr(ns.expression))).coeffs), 0
 
 
 def _cmd_lagrange(ns) -> tuple[str, int]:
     if ns.terms < 0:
         raise _UsageError("--terms must be nonnegative")
-    order = ns.terms
-    x = MPoly.var(Symbol.x)
-    y = MPoly.var(Symbol.y)
-    if ns.builtin == "e_xz":
-        series = ps_exp("small_e", x, order)
-    elif ns.builtin == "E_xz":
-        series = ps_exp("big_E", x, order)
-    elif ns.builtin == "E_neg_yz":
-        series = ps_exp("big_E", -y, order)
-    else:
-        series = PowerSeries.monomial(1, order)
-    mode = "general_b" if ns.mode == "general" else ns.mode
-    coeffs = lagrange_coeffs(series, mode, order)
-    lines = [f"{k}: {c}" for k, c in enumerate(coeffs)]
-    return "\n".join(lines) + "\n", 0
+    return _numbered(lagrange_coeffs(_SERIES[ns.builtin](ns.terms), _MODES[ns.mode], ns.terms)), 0
 
 
 def _cmd_eval(ns) -> tuple[str, int]:
@@ -516,17 +484,10 @@ def run_command(argv: list[str], stderr=None) -> tuple[str, int]:
     parser = _build_arg_parser()
     try:
         ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return "", 2
+        return _DISPATCH[ns.command](ns)
     except SystemExit as exc:
         return "", int(exc.code or 0)
-    try:
-        return _DISPATCH[ns.command](ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return "", 2
-    except (ParseError, UnknownFunction, ArityError, NonScalarDenominator, InvalidIndex,
+    except (_UsageError, ParseError, UnknownFunction, ArityError, NonScalarDenominator, InvalidIndex,
             DivisionByZero, PoleAtPoint, UnknownIdentity, MissingParam, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return "", 2

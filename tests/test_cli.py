@@ -1,10 +1,13 @@
 import hashlib
 import io
 import json
+import os
+import re
 
 import pytest
 
 from helpers import corrupt_family
+from qabel import cli
 from qabel.abel import FamilyId, abel_poly
 from qabel.cli import (
     ArityError,
@@ -344,6 +347,27 @@ class TestUsage:
     def test_unknown_command(self):
         _, code, err = run(["frobnicate"])
         assert code == 2
+
+
+def _backquoted(text, label):
+    """(name, parameter list) of each backquoted name from `label` to the end of its sentence."""
+    sentence = re.split(r"\.\s", text[text.index(label) + len(label):], maxsplit=1)[0]
+    return re.findall(r"`(\w+)(?:\(([^)]*)\))?`", sentence)
+
+
+def test_docs_name_every_cli_table_entry():
+    # README and the module docstring name the functions, lagrange built-ins
+    # and modes that the CLI's tables hold, in table order and no others.
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")) as fh:
+        readme = fh.read()
+    functions = _backquoted(readme, "Functions:")
+    assert [(name, len(params.split(","))) for name, params in functions] == [
+        (name, arity) for name, (arity, _) in cli._CALLS.items()
+    ]
+    assert [name for name, _ in _backquoted(readme, "Built-in series (`--f`):")] == list(cli._SERIES)
+    assert [name for name, _ in _backquoted(readme, "Modes (`--mode`):")] == list(cli._MODES)
+    listed = re.search(r"function calls\s+(.*?)\.\s", cli.__doc__, re.S).group(1)
+    assert listed.split(", ") == list(cli._CALLS)
 
 
 class TestDeepRecursion:
