@@ -115,15 +115,12 @@ def _kpack(f: IPoly, nb: int, signed: bool) -> int:
 
 
 def _pscale(f: IPoly, k: int) -> IPoly:
-    if k == 0:
-        return ()
+    """f times the integer k; k must be nonzero, or the result is untrimmed."""
     return tuple(c * k for c in f)
 
 
 def _pshift(f: IPoly, k: int) -> IPoly:
-    """Multiply by q**k (k >= 0)."""
-    if not f:
-        return ()
+    """Multiply the nonzero f by q**k (k >= 0)."""
     return (0,) * k + tuple(f)
 
 
@@ -159,9 +156,7 @@ def _primitive(f: IPoly) -> tuple[int, IPoly]:
 
 
 def _divexact(f: IPoly, g: IPoly) -> IPoly:
-    """Exact polynomial division; g must divide f over the integers."""
-    if not f:
-        return ()
+    """Exact polynomial division of a nonzero f; g must divide f over the integers."""
     if g == (1,):
         return f
     df, dg = len(f) - 1, len(g) - 1
