@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qabel.mpoly import MPoly, Monomial, Symbol, mp_arith, mp_coeffs_in, mp_eval_q1, mp_subst
+from qabel.qcomb import qint
 from qabel.qfield import PoleAtPoint, QRat
 
 X = MPoly.var(Symbol.x)
@@ -57,6 +58,11 @@ class TestArith:
 
     def test_scale(self):
         assert mp_arith("scale", X, QRat([1, 1])) == X + X.scale(Q)
+        # A scalar operand on either side of * scales, and one left of - subtracts.
+        p = X + A.scale(Q)
+        for c in (3, Fraction(1, 2), qint(3)):
+            assert p * c == c * p == p.scale(c)
+        assert 3 - p == -(p - 3)
 
 
 class TestSubst:

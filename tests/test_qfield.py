@@ -74,14 +74,18 @@ class TestArith:
     def test_sub_self_is_zero(self):
         r = R([3, -2, 7], [1, 5])
         assert qrat_arith("sub", r, r) == ZERO
+        assert 2 - r == -(r - 2)
 
     def test_add(self):
         # 1/(1-q) + 1/(1+q) = 2/(1-q^2)
-        assert R([1], [1, -1]) + R([1], [1, 1]) == R([2], [1, 0, -1])
+        lhs, rhs = R([1], [1, -1]), R([1], [1, 1])
+        assert lhs + rhs == R([2], [1, 0, -1])
+        assert qrat_arith("add", lhs, rhs) == lhs + rhs
 
     def test_div(self):
         r = R([1, 2, 1], [5])
         assert qrat_arith("div", r, R([1, 1])) == R([1, 1], [5])
+        assert Fraction(1, 3) / r == r.inv() * Fraction(1, 3) == R([5], [3, 6, 3])
 
     def test_div_by_zero(self):
         with pytest.raises(DivisionByZero):
