@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from .mpoly import MPoly, Symbol
+from .mpoly import A, B, MPoly, Symbol, X, dot
 from .operators import V_op, qderiv
 from .qcomb import binom2, exp_coeffs, qfac, qint, qpow, qprod, shift_a, shift_g
 from .series import PowerSeries, conv_at
@@ -32,11 +32,6 @@ class FamilyId(Enum):
     S = "S"
 
 
-_X = MPoly.var(Symbol.x)
-_A = MPoly.var(Symbol.a)
-_B = MPoly.var(Symbol.b)
-
-
 @lru_cache(maxsize=None)
 def abel_poly(family: FamilyId, n: int) -> MPoly:
     """The degree-n member of a family, expanded in x, a, b.
@@ -48,15 +43,15 @@ def abel_poly(family: FamilyId, n: int) -> MPoly:
     if n == 0:
         return MPoly.one()
     if family is FamilyId.CLASSICAL:
-        return (_X - _B) * (_X - _B - _A.scale(n)) ** (n - 1)
+        return (X - B) * (X - B - A.scale(n)) ** (n - 1)
     if family is FamilyId.A:
-        return (_X - _B) * qprod(-shift_a(n), _X.scale(qpow(1)), n - 1)
+        return (X - B) * qprod(-shift_a(n), X.scale(qpow(1)), n - 1)
     if family is FamilyId.G:
-        return (_X - _B) * qprod(-shift_g(n), _X.scale(qpow(1)), n - 1)
+        return (X - B) * qprod(-shift_g(n), X.scale(qpow(1)), n - 1)
     if family is FamilyId.W:
-        return qprod(-shift_g(n), _X, n)
+        return qprod(-shift_g(n), X, n)
     if family is FamilyId.S:
-        return _X ** n + (_A * _X ** (n - 1)).scale(qint(n))
+        return X ** n + (A * X ** (n - 1)).scale(qint(n))
     if family is FamilyId.B_PLAIN:
         return V_op(abel_poly(FamilyId.A, n).subst(Symbol.b, MPoly.zero()))
     if family is FamilyId.B_GENERAL:
@@ -77,10 +72,7 @@ class AbelCoefficients:
                 raise ValueError("expansion coefficients must be free of x")
 
     def reconstruct(self) -> MPoly:
-        out = MPoly.zero()
-        for k, c in enumerate(self.coeffs):
-            out = out + c * abel_poly(self.basis, k)
-        return out
+        return dot((c, abel_poly(self.basis, k)) for k, c in enumerate(self.coeffs))
 
 
 def abel_expand(f: MPoly) -> AbelCoefficients:
@@ -105,7 +97,7 @@ def abel_expand(f: MPoly) -> AbelCoefficients:
 def lagrange_shift(mode: str, n: int) -> MPoly:
     """The shift entering E(shift * z) in each expansion mode."""
     if mode == "plain":
-        return _A.scale(qint(n))
+        return A.scale(qint(n))
     if mode == "general_b":
         return shift_a(n)
     if mode == "buermann":
@@ -139,6 +131,6 @@ def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
         c = conv_at(e, fd, n - 1)
         if mode == "general_b":
             e2 = exp_coeffs("small_e", -s.scale(qpow(-1)), n - 1)
-            c = c - (_B * conv_at(e2, fc, n - 1)).scale(qpow(n - 1))
+            c = c - (B * conv_at(e2, fc, n - 1)).scale(qpow(n - 1))
         out.append(c.scale(qfac(n - 1)))
     return out

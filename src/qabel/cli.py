@@ -22,7 +22,7 @@ from typing import Union
 
 from . import registry
 from .abel import FamilyId, abel_expand, abel_poly, lagrange_coeffs
-from .mpoly import MPoly, Symbol
+from .mpoly import A, B, MPoly, Symbol, X, Y
 from .operators import InvalidIndex
 from .qcomb import qbinom, qfac, qint, qpoch
 from .qfield import DivisionByZero, PoleAtPoint, QRat
@@ -81,7 +81,7 @@ class Call:
 
 Expr = Union[IntLit, SymRef, BinOp, Call]
 
-_SYMBOLS = ("x", "y", "a", "b", "q")
+_SYMBOLS = {"x": X, "y": Y, "a": A, "b": B, "q": MPoly.const(QRat.q_power(1))}
 
 _FAMILY_BY_NAME = {
     "A": FamilyId.A,
@@ -292,9 +292,7 @@ def _eval_leaf(tree: Expr) -> MPoly:
     if isinstance(tree, IntLit):
         return MPoly.const(tree.value)
     if isinstance(tree, SymRef):
-        if tree.name == "q":
-            return MPoly.const(QRat.q_power(1))
-        return MPoly.var(Symbol[tree.name])
+        return _SYMBOLS[tree.name]
     if isinstance(tree, BinOp):
         return eval_expr(tree.left) ** tree.right.value
     if isinstance(tree, Call):
@@ -353,9 +351,9 @@ class _UsageError(Exception):
 # The lagrange built-in series (--f), each built at a given order, and the
 # CLI's names for the library's lagrange modes (--mode).
 _SERIES = {
-    "e_xz": lambda order: ps_exp("small_e", MPoly.var(Symbol.x), order),
-    "E_xz": lambda order: ps_exp("big_E", MPoly.var(Symbol.x), order),
-    "E_neg_yz": lambda order: ps_exp("big_E", -MPoly.var(Symbol.y), order),
+    "e_xz": lambda order: ps_exp("small_e", X, order),
+    "E_xz": lambda order: ps_exp("big_E", X, order),
+    "E_neg_yz": lambda order: ps_exp("big_E", -Y, order),
     "z": lambda order: PowerSeries.monomial(1, order),
 }
 

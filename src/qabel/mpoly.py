@@ -161,13 +161,7 @@ class MPoly:
             return self.scale(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        if not self._t or not other._t:
-            return _ZERO
-        return MPoly._raw(_collect({}, (
-            (tuple(e1 + e2 for e1, e2 in zip(k1, k2)), c1 * c2)
-            for k1, c1 in self._t.items()
-            for k2, c2 in other._t.items()
-        )))
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -204,8 +198,8 @@ class MPoly:
         """Simultaneous substitution of several symbols.
 
         The product of the substituted powers is built once per combination
-        of their exponents, and each term adds its products with it straight
-        into the result's term table.
+        of their exponents, and each term's product with it is added into the
+        result's term table.
         """
         vals = {}
         for s, v in assignment.items():
@@ -229,13 +223,8 @@ class MPoly:
             rest = list(k)
             for i in vals:
                 rest[i] = 0
-            if factor is None:
-                _collect(out, ((tuple(rest), c),))
-            else:
-                _collect(out, (
-                    (tuple(e1 + e2 for e1, e2 in zip(rest, kf)), c * cf)
-                    for kf, cf in factor._t.items()
-                ))
+            term = {tuple(rest): c}
+            _collect(out, (term if factor is None else _product(term, factor._t)).items())
         return MPoly._raw(out)
 
     def eval_q1(self) -> MPoly:
@@ -352,6 +341,26 @@ def _collect(out: dict, pairs: Iterable[tuple[tuple, QRat]]) -> dict:
     return out
 
 
+def _product(t1: dict, t2: dict) -> dict:
+    """The term table of the product of two nonzero term tables."""
+    return _collect({}, (
+        (tuple(e1 + e2 for e1, e2 in zip(k1, k2)), c1 * c2)
+        for k1, c1 in t1.items()
+        for k2, c2 in t2.items()
+    ))
+
+
+def dot(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
+    """The sum of u * v over the (u, v) pairs, in order: each product is
+    formed in its own term table, then added whole into the running table."""
+    out: dict = {}
+    for u, v in pairs:
+        if u._t and v._t:
+            p = _product(u._t, v._t)
+            out = _collect(out, p.items()) if out else p
+    return MPoly._raw(out)
+
+
 def _as_mpoly(v) -> MPoly:
     if isinstance(v, MPoly):
         return v
@@ -362,6 +371,7 @@ def _as_mpoly(v) -> MPoly:
 
 _ZERO = MPoly._raw({})
 _ONE = MPoly._raw({_ZEROS: QR_ONE})
+X, Y, A, B, T = (MPoly.var(s) for s in Symbol)
 
 
 # --------------------------------------------------------------------------

@@ -11,9 +11,10 @@ ladder operators Q_n, and the q-Pincherle residual.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
-from .mpoly import MPoly, Symbol, _as_mpoly
+from .mpoly import A, B, MPoly, Symbol, X, _as_mpoly, dot
 from .qcomb import binom2, exp_coeffs, qfac, qint, qpow, shift_g
 from .qfield import ONE as QR_ONE, ZERO as QR_ZERO
 
@@ -67,14 +68,9 @@ def make_exp_dseries(kind: str, c) -> DSeries:
 
 def dseries_apply(op: DSeries, p: MPoly, v: Symbol = Symbol.x) -> MPoly:
     """Apply the operator series to p in the variable v (exact finite sum)."""
-    out = MPoly.zero()
-    dk = p
-    for k, g in enumerate(op.coeffs(p.degree_in(v))):
-        if k:
-            dk = qderiv(dk, v, 1)
-        if not g.is_zero():
-            out = out + g * dk
-    return out
+    gs = op.coeffs(p.degree_in(v))
+    # Coefficient k of the series meets D^k p.
+    return dot(zip(gs, accumulate(gs[1:], lambda dk, _: qderiv(dk, v, 1), initial=p)))
 
 
 def L_functional(p: MPoly, v: Symbol = Symbol.x) -> MPoly:
@@ -119,8 +115,6 @@ def Qn_apply(n: int, p: MPoly, form: str = "closed") -> MPoly:
         out = dseries_apply(make_exp_dseries("small_e", c_n), out)
         return qderiv(out, Symbol.x, 1).scale(qpow(-(n - 1)))
     if form == "series":
-        a = MPoly.var(Symbol.a)
-        b = MPoly.var(Symbol.b)
         qn = qpow(n)
 
         def gen(i: int) -> MPoly:
@@ -129,7 +123,7 @@ def Qn_apply(n: int, p: MPoly, form: str = "closed") -> MPoly:
             k = i - 1
             prod = MPoly.one()
             for j in range(k):
-                prod = prod * (a.scale(qint(j + 1) - qn * qint(j)) + b.scale(QR_ONE - qpow(j + 1)))
+                prod = prod * (A.scale(qint(j + 1) - qn * qint(j)) + B.scale(QR_ONE - qpow(j + 1)))
             return prod.scale(qfac(k).inv() * qpow(-(n - 1) * i))
 
         return dseries_apply(DSeries(lambda d: [gen(i) for i in range(d + 1)]), p)
@@ -144,10 +138,9 @@ def pincherle_residual(m: int, n: int) -> MPoly:
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    x = MPoly.var(Symbol.x)
-    xn = x ** n
-    lhs = qderiv(x * xn, Symbol.x, m)
-    mid = (x * qderiv(xn, Symbol.x, m)).scale(qpow(m))
+    xn = X ** n
+    lhs = qderiv(X * xn, Symbol.x, m)
+    mid = (X * qderiv(xn, Symbol.x, m)).scale(qpow(m))
     if m == 0:
         return lhs - mid
     rhs = qderiv(xn, Symbol.x, m - 1).scale(qint(m))

@@ -8,12 +8,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .mpoly import MPoly, Symbol
+from .mpoly import A, B, MPoly
 from .qfield import ONE, QRat
-
-_A = MPoly.var(Symbol.a)
-_B = MPoly.var(Symbol.b)
-
 
 def binom2(n: int) -> int:
     """n choose 2, with the values 0 for n in {0, 1}."""
@@ -60,12 +56,12 @@ def qbinom(n: int, k: int) -> QRat:
 
 def shift_a(n: int) -> MPoly:
     """The Abel shift [n]a + q^n b of the A and general B families."""
-    return _A.scale(qint(n)) + _B.scale(qpow(n))
+    return A.scale(qint(n)) + B.scale(qpow(n))
 
 
 def shift_g(n: int) -> MPoly:
     """The Abel shift [n]a + b of the G and w families."""
-    return _A.scale(qint(n)) + _B
+    return A.scale(qint(n)) + B
 
 
 def exp_weight(kind: str, k: int) -> QRat:

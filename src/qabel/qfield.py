@@ -155,38 +155,36 @@ def _primitive(f: IPoly) -> tuple[int, IPoly]:
     return c, tuple(x // c for x in f)
 
 
-def _divexact(f: IPoly, g: IPoly) -> IPoly:
-    """Exact polynomial division of a nonzero f; g must divide f over the integers."""
-    if g == (1,):
-        return f
-    df, dg = len(f) - 1, len(g) - 1
+def _divrem(f: IPoly, g: IPoly) -> tuple[IPoly, list]:
+    """Schoolbook division of f by g: the quotient and the untrimmed remainder
+    list.  Every step must divide exactly by lc(g), as it does when g divides
+    f or for lc(g)**(deg f - deg g + 1) * f."""
+    dg = len(g) - 1
     rem = list(f)
-    out = [0] * (df - dg + 1)
+    out = [0] * (len(f) - dg)
     lg = g[-1]
-    for k in range(df - dg, -1, -1):
+    for k in range(len(f) - 1 - dg, -1, -1):
         c = rem[dg + k]
         if c:
             qc = c // lg
             out[k] = qc
             for i, gc in enumerate(g):
                 rem[k + i] -= qc * gc
-    return _trim(out)
+    return _trim(out), rem
+
+
+def _divexact(f: IPoly, g: IPoly) -> IPoly:
+    """Exact polynomial division of a nonzero f; g must divide f over the integers."""
+    if g == (1,):
+        return f
+    return _divrem(f, g)[0]
 
 
 def _prem(f: IPoly, g: IPoly) -> IPoly:
-    """Remainder of f by g up to a scalar multiple (exact integer steps)."""
-    dg = len(g) - 1
-    lg = g[-1]
-    cur = list(f)
-    while len(cur) - 1 >= dg and cur:
-        lf = cur[-1]
-        cur = [c * lg for c in cur]
-        shift = len(cur) - 1 - dg
-        for i, gc in enumerate(g):
-            cur[shift + i] -= lf * gc
-        while cur and cur[-1] == 0:
-            cur.pop()
-    return tuple(cur)
+    """Pseudo-remainder of f by g, deg f >= deg g: the remainder of
+    lc(g)**(deg f - deg g + 1) * f, the multiple that makes every step exact."""
+    m = g[-1] ** (len(f) - len(g) + 1)
+    return _trim(_divrem([c * m for c in f], g)[1])
 
 
 def _pgcd(f: IPoly, g: IPoly) -> IPoly:

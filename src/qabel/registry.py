@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 from . import abel
 from .abel import FamilyId
-from .mpoly import MPoly, Symbol
+from .mpoly import A, B, MPoly, Symbol, T, X, Y, dot
 from .operators import (
     DSeries,
     L_functional,
@@ -34,7 +34,7 @@ from .operators import (
     qderiv,
 )
 from .qcomb import binom2, qbinom, qfac, qint, qpow, qprod, shift_a, shift_g
-from .qfield import ONE as QR_ONE, QRat
+from .qfield import ONE as QR_ONE
 from .series import PowerSeries, abel_sum, ps_exp
 
 
@@ -46,11 +46,6 @@ class MissingParam(ValueError):
     """A parameter required by the identity was not supplied."""
 
 
-X = MPoly.var(Symbol.x)
-Y = MPoly.var(Symbol.y)
-A = MPoly.var(Symbol.a)
-B = MPoly.var(Symbol.b)
-T = MPoly.var(Symbol.t)
 ONE = MPoly.one()
 ZERO = MPoly.zero()
 
@@ -88,17 +83,15 @@ def _first_nonzero(*diffs: MPoly) -> MPoly:
 # --------------------------------------------------------------------------
 
 def _chk_0_3(n: int) -> MPoly:
-    rhs = ZERO
-    for k in range(n + 1):
-        rhs = rhs + (_fam(FamilyId.CLASSICAL, k) * (Y + A.scale(k) + B) ** (n - k)).scale(comb(n, k))
-    return (X + Y) ** n - rhs
+    return (X + Y) ** n - dot(
+        (_fam(FamilyId.CLASSICAL, k).scale(comb(n, k)), (Y + A.scale(k) + B) ** (n - k)) for k in range(n + 1)
+    )
 
 
 def _chk_0_17(n: int) -> MPoly:
-    rhs = ZERO
-    for k in range(n + 1):
-        rhs = rhs + ((X + A.scale(k)) ** n).scale((-1) ** (n - k) * comb(n, k))
-    return (A ** n).scale(factorial(n)) - rhs
+    return (A ** n).scale(factorial(n)) - dot(
+        (MPoly.const((-1) ** (n - k) * comb(n, k)), (X + A.scale(k)) ** n) for k in range(n + 1)
+    )
 
 
 def _chk_limit(family: FamilyId) -> Callable[[int], MPoly]:
@@ -112,11 +105,9 @@ def _chk_rising(member: _Indexed, shift: _Indexed) -> Callable[[int], MPoly]:
     """(y + x)(y + qx)...(y + q^(n-1)x) is the sum over k of
     [n k] p_k (y + s_k)(y + q s_k)...(y + q^(n-k-1) s_k)."""
     def run(n: int) -> MPoly:
-        rhs = ZERO
-        for k in range(n + 1):
-            term = member(k) * qprod(Y, shift(k), n - k, "plus")
-            rhs = rhs + term.scale(qbinom(n, k))
-        return qprod(Y, X, n, "plus") - rhs
+        return qprod(Y, X, n, "plus") - dot(
+            (member(k).scale(qbinom(n, k)), qprod(Y, shift(k), n - k, "plus")) for k in range(n + 1)
+        )
 
     return run
 
@@ -176,13 +167,13 @@ def _chk_2_3(n: int) -> MPoly:
 
 def _chk_2_4(n: int) -> MPoly:
     lhs = _fam(FamilyId.G, n).subst_many({Symbol.a: -A, Symbol.b: -Y - B})
-    rhs = ZERO
-    for k in range(n + 1):
-        gk = _fam(FamilyId.G, k).subst_many({Symbol.a: -A, Symbol.b: -B})
+
+    def term(k: int) -> tuple[MPoly, MPoly]:
         # u = Y * prod_{j=1}^{n-k-1} (Y + (1 - q^j) b + ([n] - q^j [k]) a)
         u = ONE if k == n else Y * qprod(Y + shift_g(n), -shift_g(k).scale(qpow(1)), n - k - 1)
-        rhs = rhs + (gk * u).scale(qbinom(n, k))
-    return lhs - rhs
+        return _fam(FamilyId.G, k).subst_many({Symbol.a: -A, Symbol.b: -B}).scale(qbinom(n, k)), u
+
+    return lhs - dot(term(k) for k in range(n + 1))
 
 
 def _chk_post_2_4(n: int, N: int) -> PowerSeries:
@@ -201,12 +192,10 @@ def _chk_post_2_4(n: int, N: int) -> PowerSeries:
 def _chk_3_1(n: int) -> MPoly:
     w = _fam(FamilyId.W, n)
     shift = shift_g(n)
-    sum_form = ZERO
-    for k in range(n + 1):
-        term = (shift ** k * X ** (n - k)).scale(
-            qbinom(n, k) * qpow(binom2(n - k)) * QRat.from_scalar((-1) ** k)
-        )
-        sum_form = sum_form + term
+    sum_form = dot(
+        (shift ** k, (X ** (n - k)).scale(qbinom(n, k) * qpow(binom2(n - k)) * (-1) ** k))
+        for k in range(n + 1)
+    )
     op_form = dseries_apply(
         make_exp_dseries("big_E", -shift.scale(qpow(-(n - 1)))), X ** n
     ).scale(qpow(binom2(n)))
@@ -265,13 +254,11 @@ def _chk_biorth(member: _Indexed, shift: _Indexed) -> Callable[[int, int], MPoly
 
 def _chk_4_B_forms(n: int) -> MPoly:
     bg = _fam(FamilyId.B_GENERAL, n)
-    closed = X ** n
     big = shift_a(n)
-    for k in range(1, n + 1):
-        term = (big ** (k - 1) * shift_a(n - k) * X ** (n - k)).scale(
-            qbinom(n, k) * QRat.from_scalar((-1) ** k)
-        )
-        closed = closed + term
+    closed = X ** n + dot(
+        (big ** (k - 1), (shift_a(n - k) * X ** (n - k)).scale(qbinom(n, k) * (-1) ** k))
+        for k in range(1, n + 1)
+    )
     d1 = bg - closed
     if not d1.is_zero() or n == 0:
         return d1
@@ -341,17 +328,17 @@ def _chk_5_8(n: int) -> MPoly:
 
 
 def _chk_5_9(n: int) -> MPoly:
-    lhs = ZERO
-    for k in range(n + 1):
+    def term(k: int) -> tuple[MPoly, MPoly]:
         c = shift_a(n - k)
-        term = qprod(c, X, n - k, "plus") * qprod(X, c.scale(qpow(1)), k, "plus")
-        lhs = lhs + term.scale(qbinom(n, k) * QRat.from_scalar((-1) ** k))
+        u = qprod(c, X, n - k, "plus").scale(qbinom(n, k) * (-1) ** k)
+        return u, qprod(X, c.scale(qpow(1)), k, "plus")
+
+    lhs = dot(term(k) for k in range(n + 1))
     base = T * B + _bracket_t() * A
-    rhs = ZERO
-    for j in range(n + 1):
-        d = delta_op(T ** j * base ** (n - j), n)
-        if not d.is_zero():
-            rhs = rhs + (X ** j * d).scale(qbinom(n, j) * qpow(binom2(j) - n * j))
+    rhs = dot(
+        ((X ** j).scale(qbinom(n, j) * qpow(binom2(j) - n * j)), delta_op(T ** j * base ** (n - j), n))
+        for j in range(n + 1)
+    )
     return lhs - rhs
 
 
@@ -368,16 +355,14 @@ def _chk_5_10(n: int, N: int) -> PowerSeries:
 
 
 def _chk_5_11(n: int) -> MPoly:
-    rhs = ZERO
     tail = Y - shift_a(n)
-    for k in range(n + 1):
+
+    def term(k: int) -> tuple[MPoly, MPoly]:
         c = shift_a(k)
-        if k == n:
-            v = ONE
-        else:
-            v = qprod(Y, c.scale(qpow(1)), n - k - 1, "minus") * tail
-        rhs = rhs + (qprod(c, X, k, "plus") * v).scale(qbinom(n, k))
-    return qprod(Y, X, n, "plus") - rhs
+        v = ONE if k == n else qprod(Y, c.scale(qpow(1)), n - k - 1, "minus") * tail
+        return qprod(c, X, k, "plus").scale(qbinom(n, k)), v
+
+    return qprod(Y, X, n, "plus") - dot(term(k) for k in range(n + 1))
 
 
 # --------------------------------------------------------------------------

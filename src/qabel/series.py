@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .mpoly import MPoly, _as_mpoly
+from .mpoly import MPoly, _as_mpoly, dot
 from .qcomb import exp_coeffs, qfac, qint
 
 
@@ -24,15 +24,8 @@ class NonUnitConstantTerm(ArithmeticError):
 
 def conv_at(u: Sequence[MPoly], v: Sequence[MPoly], m: int) -> MPoly:
     """The z^m coefficient of the product of two coefficient sequences,
-    summed in increasing index of u, zero factors skipped."""
-    acc = MPoly.zero()
-    for i in range(m + 1):
-        ui = u[i]
-        if not ui.is_zero():
-            vj = v[m - i]
-            if not vj.is_zero():
-                acc = acc + ui * vj
-    return acc
+    summed in increasing index of u; v[m - i] is not read when u[i] is zero."""
+    return dot((u[i], v[m - i]) for i in range(m + 1) if not u[i].is_zero())
 
 
 class PowerSeries:
@@ -51,8 +44,7 @@ class PowerSeries:
 
     @classmethod
     def constant(cls, value, order: int) -> PowerSeries:
-        zero = MPoly.zero()
-        return cls(order, (_as_mpoly(value),) + (zero,) * order)
+        return cls.monomial(0, order, value)
 
     @classmethod
     def monomial(cls, k: int, order: int, coeff=1) -> PowerSeries:
@@ -164,14 +156,14 @@ def abel_sum(coeff: Callable[[int], MPoly], shift: Callable[[int], MPoly], order
     Term k contributes its own weight times the z^(m-k) coefficient of
     E(shift(k) z) to every z^m with k <= m <= order.
     """
-    out = [MPoly.zero()] * (order + 1)
+    terms = []
     for k in range(order + 1):
         ck = _as_mpoly(coeff(k)).scale(qfac(k).inv())
-        if ck.is_zero():
-            continue
-        for j, e in enumerate(exp_coeffs("big_E", _as_mpoly(shift(k)), order - k)):
-            out[k + j] = out[k + j] + ck * e
-    return PowerSeries(order, out)
+        if not ck.is_zero():
+            terms.append((k, ck, exp_coeffs("big_E", _as_mpoly(shift(k)), order - k)))
+    return PowerSeries(order, [
+        dot((ck, e[m - k]) for k, ck, e in terms if k <= m) for m in range(order + 1)
+    ])
 
 
 def ps_equal(f: PowerSeries, g: PowerSeries) -> bool:

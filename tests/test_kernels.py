@@ -1,6 +1,7 @@
 """Oracles for the integer-polynomial kernels of `qfield`.
 
-`_pmul` is compared with a schoolbook product.  `_pgcd`, the gcd in Z[q],
+`_pmul` is compared with a schoolbook product, `_divexact` undoes it, and
+`_prem` agrees with a pseudo-remainder loop up to content.  `_pgcd`, the gcd in Z[q],
 is compared with the gcd of the integer contents times the primitive-PRS
 gcd over Q, with no fast path for constant arguments.  Both references are
 kept here, so the code under test never appears on the oracle side.  The
@@ -10,7 +11,7 @@ from math import comb, gcd
 
 from hypothesis import assume, given, strategies as st
 
-from qabel.qfield import _KRONECKER_MIN, QRat, _pgcd, _pmul
+from qabel.qfield import _KRONECKER_MIN, QRat, _divexact, _pgcd, _pmul, _prem, _primitive
 
 
 def schoolbook(f, g):
@@ -120,6 +121,19 @@ class TestPmul:
         f = tuple((-1) ** i * (2**40 - 1) for i in range(n))
         g = tuple((-1) ** (i // 2) * (2**33 + i) for i in range(n + 5))
         assert _pmul(f, g) == schoolbook(f, g)
+
+
+class TestDivision:
+    @given(ipolys(max_len=12, max_bits=64).filter(bool), ipolys(max_len=8, max_bits=64).filter(bool))
+    def test_divexact_undoes_pmul(self, f, g):
+        assert _divexact(_pmul(f, g), g) == f
+
+    @given(ipolys(max_len=12, max_bits=64).filter(bool), ipolys(max_len=8, max_bits=64).filter(bool))
+    def test_prem_matches_reference_up_to_content(self, f, g):
+        if len(f) < len(g):
+            f, g = g, f
+        r = _prem_reference(f, g)
+        assert _primitive(_prem(f, g))[1] == (_primitive_part(r) if r else ())
 
 
 class TestPgcd:

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from qabel.mpoly import MPoly, Monomial, Symbol, mp_arith, mp_coeffs_in, mp_eval_q1, mp_subst
+from qabel.mpoly import MPoly, Monomial, Symbol, dot, mp_arith, mp_coeffs_in, mp_eval_q1, mp_subst
 from qabel.qcomb import qint
 from qabel.qfield import PoleAtPoint, QRat
 
@@ -174,6 +174,19 @@ def test_coeffs_in_recombines(p):
         assert c.free_of(Symbol.a)
         total = total + c * MPoly.var(Symbol.a) ** d
     assert total == p
+
+
+@given(st.lists(st.tuples(*[st.one_of(st.just(MPoly.zero()), mpolys())] * 2), max_size=5))
+@example([])
+@example([(MPoly.zero(), X + A), (X - B, Y), (X, MPoly.zero()), (-X, Y)])
+def test_dot_is_the_sum_of_products(pairs):
+    acc = MPoly.zero()
+    for u, v in pairs:
+        acc = acc + u * v
+    assert dot(pairs) == acc
+    point = {s: Fraction(i + 2, 3) for i, s in enumerate(Symbol)}
+    at = Fraction(5, 7)
+    assert dot(pairs).eval_at(at, point) == sum(u.eval_at(at, point) * v.eval_at(at, point) for u, v in pairs)
 
 
 @given(mpolys(), mpolys())
