@@ -537,7 +537,7 @@ def get_identity(identity_id: str) -> Identity:
     try:
         return REGISTRY[identity_id]
     except KeyError:
-        raise UnknownIdentity(identity_id) from None
+        raise UnknownIdentity(f"unknown identity {identity_id!r}") from None
 
 
 def check_identity(identity_id: str, params: dict[str, int]) -> CheckResult:

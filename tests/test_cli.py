@@ -248,7 +248,8 @@ class TestVerifyCommand:
 
     def test_unknown_id(self):
         _, code, err = run(["verify", "--id", "99.9"])
-        assert code == 2 and err
+        assert code == 2
+        assert err == "error: unknown identity '99.9'\n"
 
     def test_json_report_schema(self):
         out, code, _ = run(["verify", "--id", "2.2", "--max-n", "3", "--json"])

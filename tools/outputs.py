@@ -39,7 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FAMILIES = ("A", "B", "Bg", "G", "S", "abelc", "w")
 MODES = ("plain", "general", "buermann")
 BUILTINS = ("e_xz", "E_xz", "E_neg_yz", "z")
-EXPANDS = ("x^3", "(x + a)^3", "qbinom(4,2)*x^2 + a*x", "x^4/(1-q)", "G(3) + 2*x", "w(2) - x*qpoch(3)")
+EXPANDS = ("x^3", "(x + a)^3", "qbinom(4,2)*x^2 + a*x", "x^4/(1-q)", "G(3) + 2*x", "w(2) - x*qpoch(a,3)")
 USAGE_ERRORS = (
     [], ["frobnicate"], ["verify", "--order", "x"], ["verify", "--jobs", "0"], ["verify", "--max-n", "-1"],
     ["verify", "--id", "99.9"], ["verify", "--id", "99.9", "--max-n", "-1"], ["poly", "H", "2"], ["poly", "G", "-1"],
