@@ -55,6 +55,22 @@ class TestArith:
 
     def test_pow(self):
         assert mp_arith("pow", X + A, 2) == X ** 2 + (X * A).scale(2) + A ** 2
+        p = X - A.scale(Q) + 2
+        folded = MPoly.one()
+        for n in range(8):
+            assert p ** n == folded
+            folded = folded * p
+
+    def test_sub_is_add_of_negation(self):
+        p = X - A.scale(Q) + 2
+        r = QRat([1, -1], [3, 1])
+        assert p - r == p + (-r)
+        assert r - p == r + (-p)
+        assert Fraction(1, 3) - p == Fraction(1, 3) + (-p)
+
+    def test_sub_of_foreign_type_is_type_error(self):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -:"):
+            X - object()
 
     def test_scale(self):
         assert mp_arith("scale", X, QRat([1, 1])) == X + X.scale(Q)

@@ -76,6 +76,13 @@ class TestArith:
         assert qrat_arith("sub", r, r) == ZERO
         assert 2 - r == -(r - 2)
 
+    def test_sub_of_foreign_type_is_type_error(self):
+        r = R([1, 2], [3, -1])
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -:"):
+            r - "x"
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -:"):
+            "x" - r
+
     def test_add(self):
         # 1/(1-q) + 1/(1+q) = 2/(1-q^2)
         lhs, rhs = R([1], [1, -1]), R([1], [1, 1])

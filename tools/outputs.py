@@ -19,7 +19,8 @@ and say in the change's notes which commands changed and why.
 
 The set: `verify` as text and as `--json` at the defaults, `verify --json
 --max-n 8 --order 10`, `list`, every family at n = 0, 1, 3, 7, `poly G 16`,
-every `lagrange` mode and built-in at 7 terms, six `expand`s and one `eval`;
+every `lagrange` mode and built-in at 7 terms, seven `expand`s and two
+`eval`s (among them unary minus and `^` of a q-only base);
 then outputs whose coefficients carry a rational scalar beside a
 q-denominator, and larger `poly` and `lagrange` runs.  Last comes the error
 corpus: usage errors, parse errors, every message of an invalid function
@@ -39,7 +40,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FAMILIES = ("A", "B", "Bg", "G", "S", "abelc", "w")
 MODES = ("plain", "general", "buermann")
 BUILTINS = ("e_xz", "E_xz", "E_neg_yz", "z")
-EXPANDS = ("x^3", "(x + a)^3", "qbinom(4,2)*x^2 + a*x", "x^4/(1-q)", "G(3) + 2*x", "w(2) - x*qpoch(a,3)")
+EXPANDS = (
+    "x^3", "(x + a)^3", "qbinom(4,2)*x^2 + a*x", "x^4/(1-q)", "G(3) + 2*x", "w(2) - x*qpoch(a,3)",
+    "-(x - a)^3 + (1 - q)^2*x",
+)
 USAGE_ERRORS = (
     [], ["frobnicate"], ["verify", "--order", "x"], ["verify", "--jobs", "0"], ["verify", "--max-n", "-1"],
     ["verify", "--id", "99.9"], ["verify", "--id", "99.9", "--max-n", "-1"], ["poly", "H", "2"], ["poly", "G", "-1"],
@@ -64,7 +68,8 @@ def commands() -> list[list[str]]:
     cmds += [["poly", "G", "16"]]
     cmds += [["lagrange", "--mode", m, "--f", f, "--terms", "7"] for m in MODES for f in BUILTINS]
     cmds += [["expand", e] for e in EXPANDS]
-    cmds += [["eval", "qbinom(6,3)*x + a/(1+q)", "--q", "2/3", "--x", "3", "--a", "1/2"]]
+    cmds += [["eval", "qbinom(6,3)*x + a/(1+q)", "--q", "2/3", "--x", "3", "--a", "1/2"],
+             ["eval", "-(1 - q)^3*x + (a - q)^2", "--q", "2/3", "--x", "3", "--a", "1/2"]]
     cmds += [["expand", "3/7*q^2*x^3 - 5/(2*q-4)*a*x"], ["expand", "(x + a)^4/(1-2*q)"],
              ["eval", "qfac(4)/(2-3*q) + x/6", "--q", "5/3", "--x", "1/2"]]
     cmds += [["poly", "A", "14"], ["poly", "w", "12"]]
