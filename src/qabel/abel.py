@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from .mpoly import A, B, MPoly, Symbol, X, dot
-from .operators import V_op, qderiv
+from .operators import L_functional, V_op, qderiv
 from .qcomb import binom2, exp_coeffs, qfac, qint, qpow, qprod, shift_a, shift_g
 from .series import PowerSeries, conv_at
 
@@ -53,7 +53,7 @@ def abel_poly(family: FamilyId, n: int) -> MPoly:
     if family is FamilyId.S:
         return X ** n + (A * X ** (n - 1)).scale(qint(n))
     if family is FamilyId.B_PLAIN:
-        return V_op(abel_poly(FamilyId.A, n).subst(Symbol.b, MPoly.zero()))
+        return V_op(L_functional(abel_poly(FamilyId.A, n), Symbol.b))
     if family is FamilyId.B_GENERAL:
         return V_op(abel_poly(FamilyId.A, n))
     raise ValueError(f"unknown family {family!r}")

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
-from .qfield import ONE as QR_ONE, QRat, Scalar, ZERO as QR_ZERO, _render_terms
+from .qfield import ONE as QR_ONE, QRat, Scalar, ZERO as QR_ZERO, _power, _render_terms
 
 CoeffLike = Union[QRat, int, Fraction]
 
@@ -178,15 +178,7 @@ class MPoly:
             return NotImplemented
         if n < 0:
             raise ValueError("polynomial power must be nonnegative")
-        acc = _ONE
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+        return _power(self, n, _ONE)
 
     # -- substitution and specialization ----------------------------------------
 

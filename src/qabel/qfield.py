@@ -218,6 +218,19 @@ def _peval(f: IPoly, x: Fraction) -> Fraction:
     return acc
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply in base's own ring, whose
+    unit is one."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * base
+        n >>= 1
+        if n:
+            base = base * base
+    return acc
+
+
 def _render_terms(pairs) -> str:
     """Join (negative, body) pairs into a canonical sum string."""
     parts: list[str] = []
@@ -429,23 +442,9 @@ class QRat:
     def __pow__(self, n: int) -> QRat:
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return ONE
-        base = self
         if n < 0:
-            base = self.inv()
-            n = -n
-        rn, rd = (1,), (1,)
-        bn, bd = base._n, base._d
-        while n:
-            if n & 1:
-                rn = _pmul(rn, bn)
-                rd = _pmul(rd, bd)
-            n >>= 1
-            if n:
-                bn = _pmul(bn, bn)
-                bd = _pmul(bd, bd)
-        return QRat._make(rn, rd)
+            return _power(self.inv(), -n, ONE)
+        return _power(self, n, ONE)
 
     # -- comparison, evaluation, rendering ------------------------------------
 
@@ -513,17 +512,10 @@ def qrat_arith(op: str, lhs: QRat, rhs=None) -> QRat:
     if op == "mul":
         return lhs * rhs
     if op == "div":
-        rhs = _coerce(rhs)
-        if rhs.is_zero():
-            raise DivisionByZero("division by zero")
         return lhs / rhs
     if op == "neg":
         return -lhs
     if op == "pow":
-        if not isinstance(rhs, int):
-            raise TypeError("pow exponent must be an integer")
-        if rhs < 0 and lhs.is_zero():
-            raise DivisionByZero("zero to a negative power")
         return lhs ** rhs
     raise ValueError(f"unknown operation {op!r}")
 

@@ -61,7 +61,7 @@ def _fam(family: FamilyId, n: int) -> MPoly:
 
 def _fam_a_b0(k: int) -> MPoly:
     """The degree-k member of the A family at b = 0."""
-    return _fam(FamilyId.A, k).subst(Symbol.b, ZERO)
+    return L_functional(_fam(FamilyId.A, k), Symbol.b)
 
 
 def _bracket_t() -> MPoly:

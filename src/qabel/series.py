@@ -70,8 +70,7 @@ class PowerSeries:
         return PowerSeries(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: PowerSeries) -> PowerSeries:
-        self._check(other)
-        return PowerSeries(self.order, tuple(u - v for u, v in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __mul__(self, other: PowerSeries) -> PowerSeries:
         self._check(other)
