@@ -5,10 +5,13 @@ It is stored as a pair (n, d) of integer polynomials with no common factor
 in Z[q], integer content included, and with d positive-led; zero is
 ((), (1,)).  This form is unique, so equality is plain representation
 equality.  Every reduction takes one gcd in Z[q], `_pgcd`: the gcd of the
-integer contents times the primitive-PRS gcd of the primitive parts.  The
-views and the text show the denominator as a primitive integer polynomial,
-with its content divided into the numerator's coefficients, and the
-rendering of a value is bit-reproducible.
+integer contents times the gcd of the primitive parts, which the heuristic
+gcd GCDHEU finds and proves by exact division, with the primitive PRS as
+its fallback.  `_pgcd` also returns the two cofactors, so a reduction
+divides nothing further.  The views and the text show the denominator as
+a primitive integer polynomial, with its content divided into the
+numerator's coefficients, and the rendering of a value is
+bit-reproducible.
 
 All values are immutable and freely shareable between threads.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _lcm
+from math import gcd as _int_gcd, isqrt as _isqrt, lcm as _lcm
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -116,7 +119,7 @@ def _kpack(f: IPoly, nb: int, signed: bool) -> int:
 
 def _pscale(f: IPoly, k: int) -> IPoly:
     """f times the integer k; k must be nonzero, or the result is untrimmed."""
-    return tuple(c * k for c in f)
+    return f if k == 1 else tuple(c * k for c in f)
 
 
 def _pshift(f: IPoly, k: int) -> IPoly:
@@ -187,28 +190,98 @@ def _prem(f: IPoly, g: IPoly) -> IPoly:
     return _trim(_divrem([c * m for c in f], g)[1])
 
 
-def _pgcd(f: IPoly, g: IPoly) -> IPoly:
-    """gcd in Z[q] of two nonzero polynomials, with positive leading coefficient.
+def _pgcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly]:
+    """gcd h in Z[q] of two nonzero polynomials, with positive leading
+    coefficient, and its cofactors: the triple (h, f/h, g/h).
 
     In a UFD the gcd is gcd(contents) * gcd(primitive parts) (Knuth, TAOCP
     vol. 2, 4.6.1).  The lowest power of q is split off first, so a monomial
     costs no remainder; each operand is then split once into content and
-    primitive part, and the parts go through the primitive PRS.
+    primitive part.  A constant part leaves gcd 1; two parts of positive
+    degree go through the heuristic gcd, `_heu_gcd`, and through the
+    primitive PRS, `_prs_gcd`, in the rare case that it gives up.
     """
     if f == (1,) or g == (1,):
-        return (1,)
+        return (1,), f, g
     vf, vg = _valuation(f), _valuation(g)
-    cf, f = _primitive(f[vf:])
-    cg, g = _primitive(g[vg:])
+    v = min(vf, vg)
+    cf, fp = _primitive(f[vf:])
+    cg, gp = _primitive(g[vg:])
     c = _int_gcd(cf, cg)
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        if len(g) == 1:
-            f = (1,)
-            break
-        f, g = g, _primitive(_prem(f, g))[1]
-    return _pshift(f if c == 1 else _pscale(f, c), min(vf, vg))
+    if len(fp) == 1 or len(gp) == 1:
+        h = (1,)
+    else:
+        h, fp, gp = _heu_gcd(fp, gp) or _prs_gcd(fp, gp)
+    if h == (1,) and c == 1 and v == 0:
+        return h, f, g
+    return (_pshift(_pscale(h, c), v), _pshift(_pscale(fp, cf // c), vf - v),
+            _pshift(_pscale(gp, cg // c), vg - v))
+
+
+# GCDHEU gives up after this many evaluation points (sympy's HEU_GCD_MAX).
+_HEU_TRIES = 6
+
+
+def _heu_gcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly] | None:
+    """(h, f/h, g/h) for the gcd h of primitive f and g of positive degree, by
+    the heuristic gcd of Char, Geddes & Gonnet (GCDHEU, J. Symb. Comp. 1989),
+    or None when no evaluation point gives it.
+
+    Both are evaluated at one integer xi, and the candidate h is the primitive
+    part of the polynomial whose balanced base-xi digits spell the integer
+    gcd of the two values.  While xi >= 2 * min(|f|, |g|) + 2 (max-norms), a
+    candidate that divides both f and g is their gcd; each division is
+    checked for a zero remainder, and the quotients are the cofactors.  A
+    failed point moves xi up as sympy's dup_zz_heu_gcd does, which keeps it
+    above the bound.
+    """
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(_HEU_TRIES):
+        ff, gg = _ieval(f, xi), _ieval(g, xi)
+        if ff and gg:
+            h = _primitive(_digits(_int_gcd(ff, gg), xi))[1]
+            if h == (1,):
+                return h, f, g
+            a, r = _divrem(f, h)
+            if not any(r):
+                b, r = _divrem(g, h)
+                if not any(r):
+                    return h, a, b
+        xi = 73794 * xi * _isqrt(_isqrt(xi)) // 27011
+    return None
+
+
+def _prs_gcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly]:
+    """(h, f/h, g/h) for the gcd h of primitive f and g of positive degree,
+    by the primitive PRS (Knuth, TAOCP vol. 2, 4.6.1, Algorithm E)."""
+    a, b = (f, g) if len(f) >= len(g) else (g, f)
+    while b:
+        if len(b) == 1:
+            return (1,), f, g
+        a, b = b, _primitive(_prem(a, b))[1]
+    return a, _divexact(f, a), _divexact(g, a)
+
+
+def _ieval(f: IPoly, x: int) -> int:
+    """f at the integer q = x, by Horner's rule."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _digits(n: int, x: int) -> IPoly:
+    """The polynomial whose value at q = x is n and whose coefficients lie in
+    (-x/2, x/2]: the balanced base-x digits of n, low first."""
+    out = []
+    half = x // 2
+    while n:
+        d = n % x
+        if d > half:
+            d -= x
+        out.append(d)
+        n = (n - d) // x
+    return tuple(out)
 
 
 def _peval(f: IPoly, x: Fraction) -> Fraction:
@@ -310,8 +383,7 @@ class QRat:
         if not n:
             n, d = (), (1,)
         else:
-            g = _pgcd(n, d)
-            n, d = _divexact(n, g), _divexact(d, g)
+            n, d = _pgcd(n, d)[1:]
             if d[-1] < 0:
                 n, d = _pscale(n, -1), _pscale(d, -1)
         self._n, self._d = n, d
@@ -379,15 +451,13 @@ class QRat:
             return self
         # Henrici: with g = gcd(d1, d2), the sum n1*(d2/g) + n2*(d1/g) is
         # coprime to d1/g and to d2/g, so only g can share a factor with it.
-        g = _pgcd(self._d, other._d)
-        e1 = _divexact(self._d, g)
-        e2 = _divexact(other._d, g)
+        g, e1, e2 = _pgcd(self._d, other._d)
         t = _padd(_pmul(self._n, e2), _pmul(other._n, e1))
         if not t:
             return ZERO
-        # The reduced denominator d1*d2/(g*h) is e1 * (d2/h).
-        h = _pgcd(t, g)
-        return QRat._make(_divexact(t, h), _pmul(e1, _divexact(other._d, h)))
+        # The reduced denominator d1*d2/(g*h) is e1 * (g/h) * e2.
+        h, t, gh = _pgcd(t, g)
+        return QRat._make(t, _pmul(e1, other._d if h == (1,) else _pmul(gh, e2)))
 
     __radd__ = __add__
 
@@ -412,11 +482,9 @@ class QRat:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return ZERO
-        g1 = _pgcd(self._n, other._d)
-        g2 = _pgcd(other._n, self._d)
-        n = _pmul(_divexact(self._n, g1), _divexact(other._n, g2))
-        d = _pmul(_divexact(self._d, g2), _divexact(other._d, g1))
-        return QRat._make(n, d)
+        _, n1, d2 = _pgcd(self._n, other._d)
+        _, n2, d1 = _pgcd(other._n, self._d)
+        return QRat._make(_pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 

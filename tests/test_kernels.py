@@ -1,16 +1,21 @@
 """Oracles for the integer-polynomial kernels of `qfield`.
 
 `_pmul` is compared with a schoolbook product, `_divexact` undoes it, and
-`_prem` agrees with a pseudo-remainder loop up to content.  `_pgcd`, the gcd in Z[q],
-is compared with the gcd of the integer contents times the primitive-PRS
-gcd over Q, with no fast path for constant arguments.  Both references are
-kept here, so the code under test never appears on the oracle side.  The
-closed forms at the end use `math.comb` only.
+`_prem` agrees with a pseudo-remainder loop up to content.  `_pgcd` returns
+the gcd in Z[q] and the two cofactors.  Its gcd, from the heuristic gcd and,
+with the heuristic switched off, from the PRS fallback, is compared with the
+gcd of the integer contents times the primitive-PRS gcd over Q, with no
+fast path for constant arguments; its cofactors times the gcd must give the
+operands back.  Both references are kept here, so the code under test never
+appears on the oracle side.  The closed forms at the end use `math.comb`
+only.
 """
 from math import comb, gcd
 
-from hypothesis import assume, given, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from qabel import qfield
 from qabel.qfield import _KRONECKER_MIN, QRat, _divexact, _pgcd, _pmul, _prem, _primitive
 
 
@@ -139,19 +144,107 @@ class TestDivision:
 class TestPgcd:
     @given(ipolys(max_len=6, max_bits=8).filter(bool), ipolys(max_len=6, max_bits=8).filter(bool))
     def test_matches_reference(self, f, g):
-        assert _pgcd(f, g) == zgcd_reference(f, g)
+        assert _pgcd(f, g)[0] == zgcd_reference(f, g)
 
     @given(ipolys(max_len=4, max_bits=6).filter(bool), ipolys(max_len=4, max_bits=6).filter(bool),
            ipolys(max_len=4, max_bits=6).filter(bool))
     def test_matches_reference_with_common_factor(self, f, g, h):
         fh, gh = schoolbook(f, h), schoolbook(g, h)
-        assert _pgcd(fh, gh) == zgcd_reference(fh, gh)
+        assert _pgcd(fh, gh)[0] == zgcd_reference(fh, gh)
 
     @given(st.integers(-(2**64), 2**64).filter(bool), ipolys(max_len=8).filter(bool))
     def test_constant_argument_gives_content_gcd(self, c, f):
         expected = (gcd(c, gcd(*f)),)
-        assert _pgcd((c,), f) == expected == _pgcd(f, (c,))
+        assert _pgcd((c,), f)[0] == expected == _pgcd(f, (c,))[0]
         assert zgcd_reference((c,), f) == expected
+
+
+def _check_pgcd(f, g):
+    h, cf, cg = _pgcd(f, g)
+    assert h == zgcd_reference(f, g)
+    assert schoolbook(h, cf) == f
+    assert schoolbook(h, cg) == g
+
+
+@st.composite
+def planted_pairs(draw, max_len=5, max_bits=200):
+    """Two nonzero polynomials with a planted common factor, each times its
+    own integer content and power of q, any leading sign and coefficients of
+    up to max_bits bits."""
+    parts = [draw(ipolys(max_len=max_len, max_bits=max_bits).filter(bool)) for _ in range(3)]
+    h, f, g = parts
+    out = []
+    for p in (f, g):
+        k = draw(st.integers(-(2**max_bits), 2**max_bits).filter(bool))
+        v = draw(st.integers(0, 3))
+        out.append((0,) * v + tuple(k * c for c in schoolbook(p, h)))
+    return tuple(out)
+
+
+class TestPgcdCofactors:
+    @settings(max_examples=200)
+    @given(planted_pairs())
+    def test_planted_factor(self, fg):
+        _check_pgcd(*fg)
+
+    @given(planted_pairs(max_len=4, max_bits=8))
+    def test_small_coefficients(self, fg):
+        _check_pgcd(*fg)
+
+    @given(ipolys(max_len=6, max_bits=64).filter(bool), ipolys(max_len=6, max_bits=64).filter(bool))
+    def test_unrelated(self, f, g):
+        _check_pgcd(f, g)
+
+    def test_candidate_that_does_not_divide(self):
+        # At the first point, 35, the integer gcd spells 8 - 11q + q^2, which
+        # divides neither operand; the next point, 191, gives the gcd 1 + 3q.
+        f, g = (2, 5, -2, 3), (-1, -3, 1, 3)
+        assert _pgcd(f, g) == ((1, 3), (2, -1, 1), (-1, 0, 1))
+
+    def test_unit_operand_returns_the_other(self):
+        f = (0, -6, 4)
+        assert _pgcd((1,), f) == ((1,), (1,), f)
+        assert _pgcd(f, (1,)) == ((1,), f, (1,))
+
+    def test_cyclotomic_denominators(self):
+        # The denominators of the verify checks are products of q-integers.
+        def qint(n):
+            return (1,) * n
+        f, g = (1,), (1,)
+        for k in range(1, 9):
+            f = schoolbook(f, qint(k))
+        for k in range(4, 13, 2):
+            g = schoolbook(g, qint(k))
+        _check_pgcd(f, g)
+        _check_pgcd(schoolbook(f, (0, 0, 3)), schoolbook(g, (0, -2)))
+
+
+class TestPgcdFallback:
+    """With no heuristic tries left, `_pgcd` takes the PRS and two exact
+    divisions; the result must be the same."""
+
+    @given(planted_pairs(max_len=4, max_bits=64))
+    def test_fallback_matches_reference(self, fg):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qfield, "_HEU_TRIES", 0)
+            _check_pgcd(*fg)
+
+    def test_fallback_is_taken(self):
+        calls = []
+        prem = qfield._prem
+
+        def counting_prem(f, g):
+            calls.append(1)
+            return prem(f, g)
+
+        f, g = schoolbook((1, 2, 3), (5, 0, -1)), schoolbook((1, 2, 3), (-7, 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qfield, "_prem", counting_prem)
+            _check_pgcd(f, g)
+            assert not calls
+            mp.setattr(qfield, "_HEU_TRIES", 0)
+            _check_pgcd(f, g)
+            assert calls
 
 
 class TestClosedForms:
