@@ -141,16 +141,23 @@ class TestDivision:
         assert _primitive(_prem(f, g))[1] == (_primitive_part(r) if r else ())
 
 
+def _check_pgcd(f, g):
+    """The gcd against the reference, and gcd times cofactor gives each operand back."""
+    h, cf, cg = _pgcd(f, g)
+    assert h == zgcd_reference(f, g)
+    assert schoolbook(h, cf) == f
+    assert schoolbook(h, cg) == g
+
+
 class TestPgcd:
     @given(ipolys(max_len=6, max_bits=8).filter(bool), ipolys(max_len=6, max_bits=8).filter(bool))
     def test_matches_reference(self, f, g):
-        assert _pgcd(f, g)[0] == zgcd_reference(f, g)
+        _check_pgcd(f, g)
 
     @given(ipolys(max_len=4, max_bits=6).filter(bool), ipolys(max_len=4, max_bits=6).filter(bool),
            ipolys(max_len=4, max_bits=6).filter(bool))
     def test_matches_reference_with_common_factor(self, f, g, h):
-        fh, gh = schoolbook(f, h), schoolbook(g, h)
-        assert _pgcd(fh, gh)[0] == zgcd_reference(fh, gh)
+        _check_pgcd(schoolbook(f, h), schoolbook(g, h))
 
     @given(st.integers(-(2**64), 2**64).filter(bool), ipolys(max_len=8).filter(bool))
     def test_constant_argument_gives_content_gcd(self, c, f):
@@ -159,20 +166,12 @@ class TestPgcd:
         assert zgcd_reference((c,), f) == expected
 
 
-def _check_pgcd(f, g):
-    h, cf, cg = _pgcd(f, g)
-    assert h == zgcd_reference(f, g)
-    assert schoolbook(h, cf) == f
-    assert schoolbook(h, cg) == g
-
-
 @st.composite
 def planted_pairs(draw, max_len=5, max_bits=200):
     """Two nonzero polynomials with a planted common factor, each times its
     own integer content and power of q, any leading sign and coefficients of
     up to max_bits bits."""
-    parts = [draw(ipolys(max_len=max_len, max_bits=max_bits).filter(bool)) for _ in range(3)]
-    h, f, g = parts
+    h, f, g = [draw(ipolys(max_len=max_len, max_bits=max_bits).filter(bool)) for _ in range(3)]
     out = []
     for p in (f, g):
         k = draw(st.integers(-(2**max_bits), 2**max_bits).filter(bool))
@@ -186,14 +185,6 @@ class TestPgcdCofactors:
     @given(planted_pairs())
     def test_planted_factor(self, fg):
         _check_pgcd(*fg)
-
-    @given(planted_pairs(max_len=4, max_bits=8))
-    def test_small_coefficients(self, fg):
-        _check_pgcd(*fg)
-
-    @given(ipolys(max_len=6, max_bits=64).filter(bool), ipolys(max_len=6, max_bits=64).filter(bool))
-    def test_unrelated(self, f, g):
-        _check_pgcd(f, g)
 
     def test_candidate_that_does_not_divide(self):
         # At the first point, 35, the integer gcd spells 8 - 11q + q^2, which
