@@ -197,9 +197,10 @@ def _pgcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly]:
     In a UFD the gcd is gcd(contents) * gcd(primitive parts) (Knuth, TAOCP
     vol. 2, 4.6.1).  The lowest power of q is split off first, so a monomial
     costs no remainder; each operand is then split once into content and
-    primitive part.  A constant part leaves gcd 1; two parts of positive
-    degree go through the heuristic gcd, `_heu_gcd`, and through the
-    primitive PRS, `_prs_gcd`, in the rare case that it gives up.
+    primitive part.  The gcd of the primitive parts is 1 when one of them is
+    a constant; two parts of positive degree go through the heuristic gcd,
+    `_heu_gcd`, and through the primitive PRS, `_prs_gcd`, in the rare case
+    that it gives up.
     """
     if f == (1,) or g == (1,):
         return (1,), f, g
