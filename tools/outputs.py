@@ -22,7 +22,9 @@ The set: `verify` as text and as `--json` at the defaults, `verify --json
 every `lagrange` mode and built-in at 7 terms, seven `expand`s and two
 `eval`s (among them unary minus and `^` of a q-only base);
 then outputs whose coefficients carry a rational scalar beside a
-q-denominator, and larger `poly` and `lagrange` runs.  Last comes the error
+q-denominator, and larger `poly` and `lagrange` runs: every mode and
+built-in at 12 terms, `E_xz` at 14, and the series identities 1.5, 4.8,
+4.13 and 3.3-vs-3.5 at `--max-n 9 --order 11`.  Last comes the error
 corpus: usage errors, parse errors, every message of an invalid function
 index, evaluation errors, and inputs past the interpreter's depth limit,
 each of which must exit 2 with its own `error: ...` line.
@@ -74,6 +76,10 @@ def commands() -> list[list[str]]:
              ["eval", "qfac(4)/(2-3*q) + x/6", "--q", "5/3", "--x", "1/2"]]
     cmds += [["poly", "A", "14"], ["poly", "w", "12"]]
     cmds += [["lagrange", "--mode", m, "--f", "E_xz", "--terms", "12"] for m in MODES]
+    cmds += [["lagrange", "--mode", m, "--f", f, "--terms", "12"] for m in MODES for f in ("e_xz", "E_neg_yz", "z")]
+    cmds += [["verify", "--json", "--max-n", "9", "--order", "11", "--id", "1.5", "--id", "4.8", "--id", "4.13",
+              "--id", "3.3-vs-3.5"]]
+    cmds += [["lagrange", "--mode", m, "--f", "E_xz", "--terms", "14"] for m in MODES]
     cmds += [list(c) for c in USAGE_ERRORS] + [["expand", e] for e in PARSE_ERRORS + INDEX_ERRORS]
     cmds += [list(c) for c in EVAL_ERRORS]
     return cmds
