@@ -14,7 +14,8 @@ from enum import Enum
 from functools import lru_cache
 from .mpoly import A, B, MPoly, Symbol, X, dot
 from .operators import L_functional, V_op, qderiv
-from .qcomb import binom2, exp_coeffs, qfac, qint, qpow, qprod, shift_a, shift_g
+from .qcomb import binom2, exp_powers, qfac, qint, qpow, qprod, shift_a, shift_g
+from .qfield import ONE as QR_ONE
 from .series import PowerSeries, conv_at
 
 
@@ -105,6 +106,17 @@ def lagrange_shift(mode: str, n: int) -> MPoly:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _factorial_scaled_exp(s: MPoly, n: int) -> list[MPoly]:
+    """[n]! times the z^0 .. z^n coefficients of e(s z): the terms
+    ([n]!/[k]!) s^k, whose weights [k+1][k+2]...[n] are polynomials in q."""
+    out = exp_powers("small_e", s, n)
+    w = QR_ONE
+    for k in range(n, -1, -1):
+        out[k] = out[k].scale(w)
+        w = w * qint(k)
+    return out
+
+
 def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
     """Coefficients c_0..c_order of the expansion of f over z^n E(shift_n z).
 
@@ -113,6 +125,9 @@ def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
     general_b: the two-term variant with shift [n]a + q^n b.
     buermann:  c_n reads [n]! times the z^n coefficient of
                e(-(q^n b + [n]a)/q z) f(z); expands f(z)/(1 + a z / q).
+
+    The factorial goes into the exponential's coefficients before the
+    convolution, so they stay free of 1/[k]!.
     """
     if mode not in ("plain", "general_b", "buermann"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -124,13 +139,11 @@ def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
     for n in range(1, order + 1):
         s = lagrange_shift(mode, n)
         if mode == "buermann":
-            e = exp_coeffs("small_e", -s, n)
-            out.append(conv_at(e, fc, n).scale(qfac(n)))
+            out.append(conv_at(_factorial_scaled_exp(-s, n), fc, n))
             continue
-        e = exp_coeffs("small_e", -s, n - 1)
-        c = conv_at(e, fd, n - 1)
+        c = conv_at(_factorial_scaled_exp(-s, n - 1), fd, n - 1)
         if mode == "general_b":
-            e2 = exp_coeffs("small_e", -s.scale(qpow(-1)), n - 1)
+            e2 = _factorial_scaled_exp(-s.scale(qpow(-1)), n - 1)
             c = c - (B * conv_at(e2, fc, n - 1)).scale(qpow(n - 1))
-        out.append(c.scale(qfac(n - 1)))
+        out.append(c)
     return out

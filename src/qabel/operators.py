@@ -3,19 +3,19 @@
 The q-derivative acts on monomials by D v^n = [n] v^(n-1), extended
 linearly; this agrees with the difference-quotient definition on every
 polynomial while staying inside the coefficient model.  A power series in D
-(DSeries) is the map d -> its coefficients of D^0 .. D^d; it acts as an
-exact finite sum because D^(d+1) annihilates a polynomial of degree d.
+(DSeries) is the map d -> its coefficients of the divided powers
+D^0/[0]! .. D^d/[d]!; it acts as an exact finite sum because D^(d+1)
+annihilates a polynomial of degree d.
 The module also houses the evaluation functional L, the
 diagonal rescaling V, the difference operator on the symbol t, the
 ladder operators Q_n, and the q-Pincherle residual.
 """
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Callable, Sequence
 
 from .mpoly import A, B, MPoly, Symbol, X, _as_mpoly, dot
-from .qcomb import binom2, exp_coeffs, qfac, qint, qpow, shift_g
+from .qcomb import binom2, exp_powers, qbinom, qfac, qint, qpow, shift_g
 from .qfield import ONE as QR_ONE, ZERO as QR_ZERO
 
 
@@ -41,12 +41,14 @@ def qderiv(p: MPoly, v: Symbol, k: int = 1) -> MPoly:
 
 
 class DSeries:
-    """Formal power series in D, given as the map d -> [coefficients of
-    D^0 .. D^d].
+    """Formal power series in D, given as the map d -> [coefficients of the
+    divided powers D^0/[0]! .. D^d/[d]!].
 
     Applying it to a polynomial of degree d in the distinguished variable
     asks once for those d + 1 coefficients, so every application is an
-    exact finite sum.
+    exact finite sum.  The divided power D^k/[k]! sends v^e to
+    [e k] v^(e-k), a polynomial in q, so the q-exponentials e(cD) and E(cD),
+    whose D^k coefficients carry 1/[k]!, are stored without a denominator.
     """
 
     def __init__(self, coeffs: Callable[[int], Sequence[MPoly]]):
@@ -54,7 +56,8 @@ class DSeries:
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> DSeries:
-        cs = [_as_mpoly(c) for c in coeffs]
+        """The series with the given coefficients of D^0, D^1, ...."""
+        cs = [_as_mpoly(c).scale(qfac(k)) for k, c in enumerate(coeffs)]
         return cls(lambda d: cs[: d + 1] + [MPoly.zero()] * (d + 1 - len(cs)))
 
 
@@ -63,14 +66,16 @@ def make_exp_dseries(kind: str, c) -> DSeries:
     if kind not in ("small_e", "big_E"):
         raise ValueError(f"unknown exponential kind {kind!r}")
     c = _as_mpoly(c)
-    return DSeries(lambda d: exp_coeffs(kind, c, d))
+    return DSeries(lambda d: exp_powers(kind, c, d))
 
 
 def dseries_apply(op: DSeries, p: MPoly, v: Symbol = Symbol.x) -> MPoly:
     """Apply the operator series to p in the variable v (exact finite sum)."""
     gs = op.coeffs(p.degree_in(v))
-    # Coefficient k of the series meets D^k p.
-    return dot(zip(gs, accumulate(gs[1:], lambda dk, _: qderiv(dk, v, 1), initial=p)))
+    # Coefficient k of the series meets D^k p / [k]!.
+    return dot(
+        (g, p.map_in(v, lambda e, k=k: qbinom(e, k), lower=k)) for k, g in enumerate(gs) if not g.is_zero()
+    )
 
 
 def L_functional(p: MPoly, v: Symbol = Symbol.x) -> MPoly:
@@ -115,18 +120,21 @@ def Qn_apply(n: int, p: MPoly, form: str = "closed") -> MPoly:
         out = dseries_apply(make_exp_dseries("small_e", c_n), out)
         return qderiv(out, Symbol.x, 1).scale(qpow(-(n - 1)))
     if form == "series":
+        # The D^i coefficient is prod_i q^(-(n-1)i) / [i-1]!, prod_i the
+        # product of the first i - 1 factors, built left to right; as a
+        # D^i/[i]! coefficient it is prod_i [i] q^(-(n-1)i).
         qn = qpow(n)
 
-        def gen(i: int) -> MPoly:
-            if i == 0:
-                return MPoly.zero()
-            k = i - 1
+        def gens(d: int) -> list[MPoly]:
+            out = [MPoly.zero()]
             prod = MPoly.one()
-            for j in range(k):
-                prod = prod * (A.scale(qint(j + 1) - qn * qint(j)) + B.scale(QR_ONE - qpow(j + 1)))
-            return prod.scale(qfac(k).inv() * qpow(-(n - 1) * i))
+            for i in range(1, d + 1):
+                if i > 1:
+                    prod = prod * (A.scale(qint(i - 1) - qn * qint(i - 2)) + B.scale(QR_ONE - qpow(i - 1)))
+                out.append(prod.scale(qint(i) * qpow(-(n - 1) * i)))
+            return out
 
-        return dseries_apply(DSeries(lambda d: [gen(i) for i in range(d + 1)]), p)
+        return dseries_apply(DSeries(gens), p)
     raise ValueError(f"unknown form {form!r}")
 
 

@@ -1,7 +1,8 @@
 """q-combinatorial primitives: q-integers, q-factorials, Gaussian binomials,
-the q-exponential weights 1/[k]! and q^(k choose 2)/[k]!, the two Abel
-shifts [n]a + q^n b and [n]a + b, the shifted products
-(y +- x)(y +- qx)...(y +- q^(n-1)x), and q-Pochhammer symbols.
+the q-exponential coefficients c^k/[k]! and q^(k choose 2) c^k/[k]! and
+their numerators, the two Abel shifts [n]a + q^n b and [n]a + b, the
+shifted products (y +- x)(y +- qx)...(y +- q^(n-1)x), and q-Pochhammer
+symbols.
 Results are QRat scalars or MPoly values; everything is exact.
 """
 from __future__ import annotations
@@ -64,25 +65,27 @@ def shift_g(n: int) -> MPoly:
     return A.scale(qint(n)) + B
 
 
-def exp_weight(kind: str, k: int) -> QRat:
-    """Weight of term k of a q-exponential: 1/[k]! for "small_e",
-    q^(k choose 2)/[k]! for "big_E"."""
-    if kind == "small_e":
-        return qfac(k).inv()
-    if kind == "big_E":
-        return qpow(binom2(k)) * qfac(k).inv()
-    raise ValueError(f"unknown exponential kind {kind!r}")
+def exp_powers(kind: str, c: MPoly, order: int) -> list[MPoly]:
+    """Numerators of the z^0 .. z^order coefficients of the q-exponential of
+    c*z: c^k for "small_e", q^(k choose 2) c^k for "big_E".
+
+    Coefficient k is this over [k]!; sums that meet a [k]! of their own (an
+    Abel-type sum, a divided power D^k/[k]!) take the numerators as they are.
+    """
+    if kind not in ("small_e", "big_E"):
+        raise ValueError(f"unknown exponential kind {kind!r}")
+    out = [MPoly.one()]
+    power = MPoly.one()
+    for k in range(1, order + 1):
+        power = power * c
+        out.append(power.scale(qpow(binom2(k))) if kind == "big_E" else power)
+    return out
 
 
 def exp_coeffs(kind: str, c: MPoly, order: int) -> list[MPoly]:
-    """Coefficients of z^0 .. z^order in the q-exponential of c*z."""
-    out = []
-    power = MPoly.one()
-    for k in range(order + 1):
-        if k:
-            power = power * c
-        out.append(power.scale(exp_weight(kind, k)))
-    return out
+    """Coefficients of z^0 .. z^order in the q-exponential of c*z:
+    `exp_powers` over [k]!."""
+    return [p.scale(qfac(k).inv()) for k, p in enumerate(exp_powers(kind, c, order))]
 
 
 def qprod(y: MPoly, x: MPoly, n: int, sign: str = "plus") -> MPoly:

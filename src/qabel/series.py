@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .mpoly import MPoly, _as_mpoly, dot
-from .qcomb import exp_coeffs, qfac, qint
+from .qcomb import exp_coeffs, exp_powers, qbinom, qfac, qint
 
 
 class OrderMismatch(ValueError):
@@ -152,16 +152,19 @@ def ps_exp(kind: str, c, order: int) -> PowerSeries:
 def abel_sum(coeff: Callable[[int], MPoly], shift: Callable[[int], MPoly], order: int) -> PowerSeries:
     """Assemble sum_k coeff(k)/[k]! * z^k * E(shift(k) z), truncated.
 
-    Term k contributes its own weight times the z^(m-k) coefficient of
-    E(shift(k) z) to every z^m with k <= m <= order.
+    Term k meets the z^(m-k) coefficient q^(m-k choose 2) shift(k)^(m-k) /
+    [m-k]! of its exponential in z^m, and 1/([k]! [m-k]!) = [m k]/[m]!; so
+    the z^m coefficient is 1/[m]! times a sum over k <= m of [m k] coeff(k)
+    times those numerators, and only that one division leaves Z[q].
     """
     terms = []
     for k in range(order + 1):
-        ck = _as_mpoly(coeff(k)).scale(qfac(k).inv())
+        ck = _as_mpoly(coeff(k))
         if not ck.is_zero():
-            terms.append((k, ck, exp_coeffs("big_E", _as_mpoly(shift(k)), order - k)))
+            terms.append((k, ck, exp_powers("big_E", _as_mpoly(shift(k)), order - k)))
     return PowerSeries(order, [
-        dot((ck, e[m - k]) for k, ck, e in terms if k <= m) for m in range(order + 1)
+        dot((ck.scale(qbinom(m, k)), e[m - k]) for k, ck, e in terms if k <= m).scale(qfac(m).inv())
+        for m in range(order + 1)
     ])
 
 

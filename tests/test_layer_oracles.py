@@ -9,9 +9,14 @@ from fractions import Fraction
 
 from hypothesis import assume, given, strategies as st
 
-from qabel.mpoly import MPoly, Symbol
-from qabel.operators import L_functional, delta_op, qderiv
-from qabel.qfield import PoleAtPoint, QRat
+from qabel.abel import lagrange_coeffs, lagrange_shift
+from qabel.mpoly import A, MPoly, Symbol, X
+from qabel.operators import DSeries, L_functional, delta_op, dseries_apply, make_exp_dseries, qderiv
+from qabel.qcomb import shift_a
+from qabel.qfield import ONE, PoleAtPoint, QRat
+from qabel.series import abel_sum, ps_exp
+
+from helpers import apply_series_of_D
 
 # Denominators 1, 1 - q, 1 + q and q: poles at q = 1, -1 and 0.
 _DENS = [(1,), (1, -1), (1, 1), (0, 1)]
@@ -27,6 +32,10 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 # q stays away from 0 and 1, so x/q, t/q and 1/(1 - q) are defined.
 q_points = rationals.filter(lambda f: f not in (0, 1))
 points = st.fixed_dictionaries({s: rationals for s in Symbol})
+# Operator coefficients: D acts on x, so they are free of x.
+x_free = st.builds(MPoly, st.dictionaries(exps.map(lambda e: (0,) + e[1:]), coeffs, max_size=3))
+# Away from q = -1 as well, so that every [k]! is nonzero.
+q_regular = q_points.filter(lambda f: f != -1)
 
 
 def value(p: MPoly, q0: Fraction, pt: dict) -> Fraction:
@@ -95,3 +104,76 @@ def _delta_values(p: MPoly, k: int, q0: Fraction, pt: dict) -> Fraction:
 @given(mpolys, st.integers(0, 4), q_points, points)
 def test_delta_op_matches_values(p, k, q0, pt):
     assert value(delta_op(p, k), q0, pt) == _delta_values(p, k, q0, pt)
+
+
+def _qfac(k: int, q0: Fraction) -> Fraction:
+    """[k]! at q = q0 from the quotients (1 - q0^j)/(1 - q0)."""
+    out = Fraction(1)
+    for j in range(1, k + 1):
+        out *= (1 - q0 ** j) / (1 - q0)
+    return out
+
+
+def _exp_weight(kind: str, k: int, q0: Fraction) -> Fraction:
+    """Term k of e(z) or E(z) at q = q0, without the power of z."""
+    return (q0 ** (k * (k - 1) // 2) if kind == "big_E" else 1) / _qfac(k, q0)
+
+
+@given(st.sampled_from(["small_e", "big_E"]), x_free, mpolys, q_regular, points)
+def test_exp_dseries_matches_sum_of_derivatives(kind, c, p, q0, pt):
+    assume(pt[Symbol.x] != 0)
+    deg = p.degree_in(Symbol.x)
+    got = value(dseries_apply(make_exp_dseries(kind, c), p), q0, pt)
+    assert got == value(apply_series_of_D(ps_exp(kind, c, deg), p), q0, pt)
+    c0 = value(c, q0, pt)
+    assert got == sum(_exp_weight(kind, k, q0) * c0 ** k * _difference_quotient(p, k, q0, pt) for k in range(deg + 1))
+
+
+@given(mpolys, st.integers(0, 4), q_regular, points)
+def test_divided_power_is_derivative_over_factorial(p, k, q0, pt):
+    unit_k = DSeries(lambda d: [MPoly.one() if i == k else MPoly.zero() for i in range(d + 1)])
+    assert value(dseries_apply(unit_k, p), q0, pt) == value(qderiv(p, Symbol.x, k), q0, pt) / _qfac(k, q0)
+
+
+@given(mpolys, q_points, points)
+def test_from_coeffs_takes_coefficients_of_powers_of_D(p, q0, pt):
+    assume(pt[Symbol.x] != 0)
+    got = value(dseries_apply(DSeries.from_coeffs([ONE, A]), p), q0, pt)
+    assert got == value(p, q0, pt) + pt[Symbol.a] * _difference_quotient(p, 1, q0, pt)
+
+
+def _abel_sum_values(coeff, shift, order: int, q0: Fraction, pt: dict) -> list:
+    """z^m coefficients of sum_k coeff_k/[k]! z^k E(s_k z) as the double sum
+    over k + j = m of coeff_k/[k]! q^(j choose 2) s_k^j/[j]!, in Fractions."""
+    out = []
+    for m in range(order + 1):
+        total = Fraction(0)
+        for k in range(m + 1):
+            j = m - k
+            total += value(coeff(k), q0, pt) / _qfac(k, q0) * _exp_weight("big_E", j, q0) * value(shift(k), q0, pt) ** j
+        out.append(total)
+    return out
+
+
+def _check_abel_sum(coeff, shift, order: int, q0: Fraction, pt: dict):
+    got = [value(c, q0, pt) for c in abel_sum(coeff, shift, order).coeffs]
+    assert got == _abel_sum_values(coeff, shift, order, q0, pt)
+
+
+@given(st.lists(mpolys, min_size=4, max_size=4), st.lists(mpolys, min_size=4, max_size=4), q_regular, points)
+def test_abel_sum_matches_double_sum(cs, ss, q0, pt):
+    # Every other shift is divided by q, so Laurent coefficients occur.
+    shifts = [s.scale(QRat.q_power(-(k % 2))) for k, s in enumerate(ss)]
+    _check_abel_sum(lambda k: cs[k], lambda k: shifts[k], 3, q0, pt)
+
+
+@given(q_regular, points)
+def test_abel_sum_with_laurent_shift_and_rational_coefficients(q0, pt):
+    # The buermann coefficients of E(xz) carry powers of q in their
+    # denominators; the shifts are the buermann one, (q^n b + [n]a)/q, and
+    # the geometric family's -q s_k.
+    cs = lagrange_coeffs(ps_exp("big_E", X, 4), "buermann", 4)
+    _check_abel_sum(lambda k: cs[k], lambda k: lagrange_shift("buermann", k), 4, q0, pt)
+    _check_abel_sum(lambda k: cs[k], lambda k: -shift_a(k).scale(QRat.q_power(1)), 4, q0, pt)
+    gb = lagrange_coeffs(ps_exp("small_e", X, 4), "general_b", 4)
+    _check_abel_sum(lambda k: gb[k], shift_a, 4, q0, pt)

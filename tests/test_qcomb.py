@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qabel.mpoly import MPoly, Symbol
-from qabel.qcomb import binom2, exp_coeffs, exp_weight, qbinom, qfac, qint, qpoch, qpow, qprod
+from qabel.qcomb import binom2, exp_coeffs, exp_powers, qbinom, qfac, qint, qpoch, qpow, qprod
 from qabel.qfield import ONE, QRat
 
 X = MPoly.var(Symbol.x)
@@ -86,12 +86,21 @@ class TestQBinom:
 class TestExpWeight:
     @pytest.mark.parametrize("k", range(8))
     def test_weights_invert_the_factorial(self, k):
-        assert exp_weight("small_e", k) * qfac(k) == ONE
-        assert exp_weight("big_E", k) * qfac(k) == qpow(binom2(k))
+        one = MPoly.one()
+        assert exp_coeffs("small_e", one, k)[k].scale(qfac(k)) == one
+        assert exp_coeffs("big_E", one, k)[k].scale(qfac(k)) == MPoly.const(qpow(binom2(k)))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            exp_weight("tiny_e", 1)
+            exp_coeffs("tiny_e", X, 1)
+        with pytest.raises(ValueError):
+            exp_powers("tiny_e", X, 1)
+
+    def test_powers_are_the_numerators(self):
+        assert exp_powers("small_e", X + Y, 3) == [MPoly.one(), X + Y, (X + Y) ** 2, (X + Y) ** 3]
+        big = exp_powers("big_E", X + Y, 4)
+        assert big[3] == ((X + Y) ** 3).scale(qpow(3))
+        assert [p.scale(qfac(k).inv()) for k, p in enumerate(big)] == exp_coeffs("big_E", X + Y, 4)
 
     def test_coeffs_are_weighted_powers(self):
         cs = exp_coeffs("big_E", X + Y, 4)
