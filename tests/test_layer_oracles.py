@@ -135,11 +135,13 @@ def test_divided_power_is_derivative_over_factorial(p, k, q0, pt):
     assert value(dseries_apply(unit_k, p), q0, pt) == value(qderiv(p, Symbol.x, k), q0, pt) / _qfac(k, q0)
 
 
-@given(mpolys, q_points, points)
-def test_from_coeffs_takes_coefficients_of_powers_of_D(p, q0, pt):
+@given(mpolys, st.lists(x_free, max_size=4), q_points, points)
+def test_from_coeffs_takes_coefficients_of_powers_of_D(p, cs, q0, pt):
     assume(pt[Symbol.x] != 0)
     got = value(dseries_apply(DSeries.from_coeffs([ONE, A]), p), q0, pt)
     assert got == value(p, q0, pt) + pt[Symbol.a] * _difference_quotient(p, 1, q0, pt)
+    got = value(dseries_apply(DSeries.from_coeffs(cs), p), q0, pt)
+    assert got == sum(value(c, q0, pt) * _difference_quotient(p, k, q0, pt) for k, c in enumerate(cs))
 
 
 def _abel_sum_values(coeff, shift, order: int, q0: Fraction, pt: dict) -> list:
