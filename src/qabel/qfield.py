@@ -17,9 +17,12 @@ All values are immutable and freely shareable between threads.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt as _isqrt, lcm as _lcm
+from operator import add as _add
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -54,32 +57,49 @@ def _trim(cs: list) -> IPoly:
 def _padd(f: IPoly, g: IPoly) -> IPoly:
     if len(f) < len(g):
         f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] += c
+    out = list(map(_add, f, g))
+    out += f[len(g):]
     return _trim(out)
 
 
 # Below this length of the shorter operand, _pmul multiplies schoolbook.
 _KRONECKER_MIN = 8
 
+# The word sizes of the Kronecker chunks that `array` packs and unpacks in
+# C: _WORDS[nb] is the (size, signed typecode) of the smallest machine word
+# of at least nb bytes.  Typecodes are chosen by their item size, which the
+# C compiler sets, not by name.
+_CODES = {array(c).itemsize: c for c in "bhilq"}
+_WORDS = {nb: min((s, c) for s, c in _CODES.items() if s >= nb) for nb in range(1, max(_CODES) + 1)}
+_ORDER = sys.byteorder
+
 
 def _pmul(f: IPoly, g: IPoly) -> IPoly:
     """Product of two integer polynomials.
 
-    A unit operand returns the other one.  When the shorter operand has
-    fewer than _KRONECKER_MIN terms the product is the schoolbook sum;
-    otherwise it is one big-integer product by Kronecker substitution:
-    each operand is packed as its value at q = 2**w, and the product's
-    coefficients are read back from the w-bit chunks of F(2**w) * G(2**w).
+    A unit operand returns the other one.  Otherwise the lowest power of q
+    is split off both operands and put back on the product.  If one of
+    them is then a constant c, the product is the other one scaled by c.
+    If the shorter one has fewer than _KRONECKER_MIN terms the product is
+    the schoolbook sum; otherwise it is one big-integer product by
+    Kronecker substitution: each operand is packed as its value at
+    q = 2**W, and the product's coefficients are read back from the W-bit
+    chunks of F(2**W) * G(2**W).
 
-    The width w is bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 1,
-    rounded up to whole bytes.  Each product coefficient is a sum of at most
-    min(len f, len g) products of one coefficient of each operand, so its
-    magnitude is below 2**(w - 1).  Adding 2**(w - 1) to every chunk of the
-    product therefore gives digits in (0, 2**w): the sum is the base-2**w
-    expansion of those digits with no carry between chunks, and subtracting
-    2**(w - 1) from each chunk recovers the coefficients exactly.
+    The width w is bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 1.
+    Each product coefficient is a sum of at most min(len f, len g) products
+    of one coefficient of each operand, so its magnitude is below 2**(w - 1).
+    The chunk width W is w rounded up to whole bytes, and further to the
+    next machine word (1, 2, 4 or 8 bytes) when there is one; W >= w keeps
+    every coefficient below 2**(W - 1), and every operand coefficient too.
+    An operand is packed as the W-bit two's complements of its
+    coefficients, each negative one having borrowed 2**W from the chunk
+    above.  Adding 2**(W - 1) to every chunk of the product gives digits
+    c + 2**(W - 1) in (0, 2**W), so the sum is their base-2**W expansion
+    with no carry between chunks.  XOR with the same offsets flips bit
+    W - 1 of each digit, which subtracts 2**(W - 1) modulo 2**W: each chunk
+    becomes the W-bit two's complement of its coefficient, read back by
+    `array` for a machine word or one chunk at a time beyond it.
     """
     if not f or not g:
         return ()
@@ -87,39 +107,53 @@ def _pmul(f: IPoly, g: IPoly) -> IPoly:
         return g
     if g == (1,):
         return f
+    vf = vg = 0
+    if not (f[0] and g[0]):
+        vf, vg = _valuation(f), _valuation(g)
+        f, g = f[vf:], g[vg:]
     if len(f) > len(g):
         f, g = g, f
+    if len(f) == 1:
+        return _pshift(_pscale(g, f[0]), vf + vg)
     if len(f) < _KRONECKER_MIN:
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
+        out = [0] * (vf + vg + len(f) + len(g) - 1)
+        for i, a in enumerate(f, vf + vg):
             if a:
-                for j, b in enumerate(g):
-                    out[i + j] += a * b
+                for j, b in enumerate(g, i):
+                    out[j] += a * b
         return _trim(out)
     lo_f, hi_f, lo_g, hi_g = min(f), max(f), min(g), max(g)
     w = max(hi_f, -lo_f).bit_length() + max(hi_g, -lo_g).bit_length() + len(f).bit_length() + 1
     nb = (w + 7) // 8
+    nb, code = _WORDS.get(nb, (nb, ""))
     n = len(f) + len(g) - 1
-    off = 1 << (8 * nb - 1)
-    offsets = int.from_bytes((b"\0" * (nb - 1) + b"\x80") * n, "little")  # off in each chunk
-    buf = (_kpack(f, nb, lo_f < 0) * _kpack(g, nb, lo_g < 0) + offsets).to_bytes(n * nb, "little")
-    return _trim([int.from_bytes(buf[i:i + nb], "little") - off for i in range(0, n * nb, nb)])
+    ones = int.from_bytes((b"\1" + bytes(nb - 1)) * n, "little")  # 1 in each chunk
+    offsets = ones << (8 * nb - 1)
+    buf = ((_kpack(f, nb, code, ones, lo_f < 0) * _kpack(g, nb, code, ones, lo_g < 0) + offsets)
+           ^ offsets).to_bytes(n * nb, _ORDER)
+    if code:
+        out = array(code, buf).tolist()
+    else:
+        out = [int.from_bytes(buf[i:i + nb], _ORDER, signed=True) for i in range(0, n * nb, nb)]
+    return _pshift(_trim(out), vf + vg)
 
 
-def _kpack(f: IPoly, nb: int, signed: bool) -> int:
-    """f evaluated at q = 2**(8 * nb), each coefficient fitting nb signed bytes."""
-    packed = int.from_bytes(b"".join([c.to_bytes(nb, "little", signed=True) for c in f]), "little")
+def _kpack(f: IPoly, nb: int, code: str, ones: int, signed: bool) -> int:
+    """f at q = 2**(8 * nb), each coefficient fitting nb signed bytes: the
+    chunks are packed by `array` when code is the typecode of an nb-byte
+    word, else one coefficient at a time.  ones has a 1 in each chunk."""
+    raw = array(code, f).tobytes() if code else b"".join([c.to_bytes(nb, _ORDER, signed=True) for c in f])
+    packed = int.from_bytes(raw, _ORDER)
     if signed:
-        # A negative chunk reads as c + 2**w: take the 2**w borrow back from
-        # the next chunk up.
-        one, zero = (1).to_bytes(nb, "little"), bytes(nb)
-        packed -= int.from_bytes(b"".join([one if c < 0 else zero for c in f]), "little") << (8 * nb)
+        # A negative chunk reads as c + 2**W: take the 2**W borrow back
+        # from the next chunk up, one for each chunk whose top bit is set.
+        packed -= ((packed >> (8 * nb - 1)) & ones) << (8 * nb)
     return packed
 
 
 def _pscale(f: IPoly, k: int) -> IPoly:
     """f times the integer k; k must be nonzero, or the result is untrimmed."""
-    return f if k == 1 else tuple(c * k for c in f)
+    return f if k == 1 else tuple([c * k for c in f])
 
 
 def _pshift(f: IPoly, k: int) -> IPoly:

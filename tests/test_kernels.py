@@ -1,6 +1,10 @@
 """Oracles for the integer-polynomial kernels of `qfield`.
 
-`_pmul` is compared with a schoolbook product, `_divexact` undoes it, and
+`_pmul` is compared with a schoolbook product on operands that carry powers
+of q, on monomials c * q**k, at every chunk width from one byte past eight,
+where the machine-word chunks packed by `array` give way to the byte-loop
+fallback, and with the word sizes switched off, so the fallback also runs
+on small operands.  `_divexact` undoes it, and
 `_prem` agrees with a pseudo-remainder loop up to content.  `_pgcd` returns
 the gcd in Z[q] and the two cofactors.  Its gcd, from the heuristic gcd and,
 with the heuristic switched off, from the PRS fallback, is compared with the
@@ -81,14 +85,17 @@ def zgcd_reference(f, g):
 
 
 @st.composite
-def ipolys(draw, max_len=40, max_bits=300):
-    """Trimmed integer polynomials of one coefficient bit size, with zeros."""
+def ipolys(draw, max_len=40, max_bits=300, max_shift=3):
+    """Trimmed integer polynomials of one coefficient bit size, with zeros,
+    a nonzero one times q**k for k up to max_shift."""
     bits = draw(st.integers(0, max_bits))
     bound = 2 ** bits
     coeff = st.one_of(st.just(0), st.integers(-bound, bound))
     cs = draw(st.lists(coeff, max_size=max_len))
     if cs and cs[-1] == 0:
         cs[-1] = draw(st.sampled_from([-bound, bound]))
+    if cs:
+        cs = [0] * draw(st.integers(0, max_shift)) + cs
     return tuple(cs)
 
 
@@ -101,6 +108,28 @@ class TestPmul:
     def test_matches_schoolbook_near_threshold(self, f, g):
         assert _pmul(f, g) == schoolbook(f, g)
 
+    @given(ipolys(), ipolys())
+    def test_byte_fallback_matches_schoolbook(self, f, g):
+        # With no machine word to pack into, every Kronecker product takes
+        # the byte loop, which the benchmarks reach only at their largest
+        # coefficients.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qfield, "_WORDS", {})
+            assert _pmul(f, g) == schoolbook(f, g)
+
+    @given(st.integers(0, 2 * _KRONECKER_MIN), st.sampled_from([1, -1, 3, -(2**64 + 1), 2**200 + 7]),
+           ipolys(max_len=3 * _KRONECKER_MIN))
+    def test_monomial_operand(self, k, c, f):
+        # c * q**k against operands on both sides of _KRONECKER_MIN, which
+        # carry their own power of q.
+        m = (0,) * k + (c,)
+        assert _pmul(m, f) == schoolbook(m, f) == _pmul(f, m)
+
+    @given(st.integers(0, 40), ipolys())
+    def test_q_power_shifts(self, k, f):
+        assume(f)
+        assert _pmul((0,) * k + (1,), f) == (0,) * k + f
+
     @given(ipolys())
     def test_unit_operand_returns_other(self, f):
         assume(f != (1,))  # both operands are units: either one may come back
@@ -112,8 +141,11 @@ class TestPmul:
         # coefficient a full sum of equal-signed terms, so the chunks reach
         # their largest magnitude.  At n = 2**j - 1 terms of 2**k - 1 with
         # 2k + j a multiple of 8, the bound leaves no slack to the byte.
+        # The widths 2k + j + 1 to 2k + j + 3 run from 7 bits past 72, so
+        # they cross the 8-, 16-, 32- and 64-bit words and reach the first
+        # byte-loop width, 9 bytes.
         for n in sorted({_KRONECKER_MIN, _KRONECKER_MIN + 1, 15, 16, 63, 64}):
-            for k in list(range(1, 19)) + [63, 64, 200]:
+            for k in list(range(1, 37)) + [63, 64, 200]:
                 edge = (2**k - 1, -(2**k - 1), -(2**k))
                 for a in edge:
                     for b in edge:
