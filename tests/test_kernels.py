@@ -1,10 +1,10 @@
 """Oracles for the integer-polynomial kernels of `qfield`.
 
 `_pmul` is compared with a schoolbook product on operands that carry powers
-of q, on monomials c * q**k, at every chunk width from one byte past eight,
-where the machine-word chunks packed by `array` give way to the byte-loop
-fallback, and with the word sizes switched off, so the fallback also runs
-on small operands.  `_divexact` undoes it, and
+of q, on monomials c * q**k, and at chunk widths from one byte to nine: past
+eight, the machine-word chunks packed by `array` give way to the byte-loop
+fallback, which also runs on small operands with the word sizes switched
+off.  `_divexact` undoes it, and
 `_prem` agrees with a pseudo-remainder loop up to content.  `_pgcd` returns
 the gcd in Z[q] and the two cofactors.  Its gcd, from the heuristic gcd and,
 with the heuristic switched off, from the PRS fallback, is compared with the
