@@ -1,17 +1,24 @@
 """Exact arithmetic in the field of rational functions of q over the rationals.
 
 A value is a reduced fraction of polynomials in the single indeterminate q.
-It is stored as a pair (n, d) of integer polynomials with no common factor
-in Z[q], integer content included, and with d positive-led; zero is
-((), (1,)).  This form is unique, so equality is plain representation
-equality.  Every reduction takes one gcd in Z[q], `_pgcd`: the gcd of the
-integer contents times the gcd of the primitive parts, which the heuristic
-gcd GCDHEU finds and proves by exact division, with the primitive PRS as
-its fallback.  `_pgcd` also returns the two cofactors, so a reduction
-divides nothing further.  The views and the text show the denominator as
-a primitive integer polynomial, with its content divided into the
-numerator's coefficients, and the rendering of a value is
-bit-reproducible.
+It is stored as q**v * n/d: an integer v and a pair (n, d) of integer
+polynomials with no common factor in Z[q], integer content included, with
+nonzero constant terms and with d positive-led; zero is (0, (), (1,)).
+This form is unique, so equality is plain representation equality.
+
+The weights q**k and q**C(k, 2) make almost every value a Laurent
+polynomial n/q**k, stored with d == (1,).  Two such values multiply to
+q**(v1 + v2) * n1*n2, since two nonzero constant terms have a nonzero
+product, and add by shifting the numerator with the larger v and taking
+off the power of q that cancelled; neither takes a gcd.  Any other value
+is reduced by one gcd in Z[q], `_pgcd`: the gcd of the integer contents
+times the gcd of the primitive parts, which the heuristic gcd GCDHEU finds
+and proves by exact division, with the primitive PRS as its fallback.
+`_pgcd` also returns the two cofactors, so a reduction divides nothing
+further.  The views and the text multiply the power of q back into the
+pair and show the denominator as a primitive integer polynomial, with its
+content divided into the numerator's coefficients; the rendering of a
+value is bit-reproducible.
 
 All values are immutable and freely shareable between threads.
 """
@@ -401,11 +408,14 @@ class QPoly:
 class QRat:
     """Element of the field of rational functions in q, in canonical form.
 
-    Stored as a pair (n, d) of integer polynomials that are coprime in Z[q],
-    integer content included, with d positive-led; zero is ((), (1,)).
+    Stored as q**v * n/d: v an int, and n, d integer polynomials that are
+    coprime in Z[q], integer content included, with n(0) != 0, d(0) != 0
+    and d positive-led; zero is (0, (), (1,)).  A Laurent polynomial is
+    d == (1,), and a product or sum of two of them takes no gcd.  `num`,
+    `den`, `eval` and the text multiply q**v back into the pair.
     """
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("_v", "_n", "_d")
 
     def __init__(self, num: Sequence[Scalar], den: Sequence[Scalar] = (1,)):
         fn = [Fraction(c) for c in num]
@@ -415,55 +425,65 @@ class QRat:
         d = _trim([c.numerator * (m // c.denominator) for c in fd])
         if not d:
             raise DivisionByZero("zero denominator")
+        v = 0
         if not n:
-            n, d = (), (1,)
+            d = (1,)
         else:
-            n, d = _pgcd(n, d)[1:]
+            vn, vd = _valuation(n), _valuation(d)
+            v = vn - vd
+            n, d = _pgcd(n[vn:], d[vd:])[1:]
             if d[-1] < 0:
                 n, d = _pscale(n, -1), _pscale(d, -1)
-        self._n, self._d = n, d
+        self._v, self._n, self._d = v, n, d
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def _make(cls, n: IPoly, d: IPoly) -> QRat:
+    def _make(cls, v: int, n: IPoly, d: IPoly) -> QRat:
         self = object.__new__(cls)
-        self._n, self._d = n, d
+        self._v, self._n, self._d = v, n, d
         return self
 
     @classmethod
     def from_scalar(cls, v: Scalar) -> QRat:
         f = Fraction(v)
-        return cls._make((f.numerator,), (f.denominator,)) if f else ZERO
+        return cls._make(0, (f.numerator,), (f.denominator,)) if f else ZERO
 
     @classmethod
     def q_power(cls, k: int) -> QRat:
-        """q**k as a field element; negative k lands the power in the denominator."""
-        if k >= 0:
-            return cls._make(_pshift((1,), k), (1,))
-        return cls._make((1,), _pshift((1,), -k))
+        """q**k as a field element, for any integer k."""
+        return cls._make(k, (1,), (1,))
 
     # -- views ---------------------------------------------------------------
 
+    def _pair(self) -> tuple[IPoly, IPoly]:
+        """The value as one coprime pair in Z[q], the power of q multiplied in."""
+        v, n, d = self._v, self._n, self._d
+        if v > 0:
+            return _pshift(n, v), d
+        return n, _pshift(d, -v)
+
     @property
     def num(self) -> QPoly:
-        s = _content(self._d)
-        return QPoly(tuple(Fraction(k, s) for k in self._n))
+        n, d = self._pair()
+        s = _content(d)
+        return QPoly(tuple(Fraction(k, s) for k in n))
 
     @property
     def den(self) -> QPoly:
-        s = _content(self._d)
-        return QPoly(tuple(Fraction(k // s) for k in self._d))
+        d = self._pair()[1]
+        s = _content(d)
+        return QPoly(tuple(Fraction(k // s) for k in d))
 
     def is_zero(self) -> bool:
         return not self._n
 
     def is_one(self) -> bool:
-        return self._n == (1,) and self._d == (1,)
+        return self._v == 0 and self._n == (1,) and self._d == (1,)
 
     def is_constant(self) -> bool:
         """True when the value is a plain rational number (free of q)."""
-        return len(self._n) <= 1 and len(self._d) == 1
+        return self._v == 0 and len(self._n) <= 1 and len(self._d) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -480,24 +500,28 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero():
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if not n1:
             return other
-        if other.is_zero():
+        if not n2:
             return self
+        if d1 == (1,) and d2 == (1,):
+            v, t = _qsum(self._v, n1, other._v, n2)
+            return QRat._make(v, t, d1) if t else ZERO
         # Henrici: with g = gcd(d1, d2), the sum n1*(d2/g) + n2*(d1/g) is
         # coprime to d1/g and to d2/g, so only g can share a factor with it.
-        g, e1, e2 = _pgcd(self._d, other._d)
-        t = _padd(_pmul(self._n, e2), _pmul(other._n, e1))
+        g, e1, e2 = _pgcd(d1, d2)
+        v, t = _qsum(self._v, _pmul(n1, e2), other._v, _pmul(n2, e1))
         if not t:
             return ZERO
         # The reduced denominator d1*d2/(g*h) is e1 * (g/h) * e2.
         h, t, gh = _pgcd(t, g)
-        return QRat._make(t, _pmul(e1, other._d if h == (1,) else _pmul(gh, e2)))
+        return QRat._make(v, t, _pmul(e1, d2 if h == (1,) else _pmul(gh, e2)))
 
     __radd__ = __add__
 
     def __neg__(self) -> QRat:
-        return QRat._make(_pscale(self._n, -1), self._d)
+        return QRat._make(self._v, _pscale(self._n, -1), self._d)
 
     def __sub__(self, other) -> QRat:
         other = _coerce(other)
@@ -515,11 +539,16 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if not (n1 and n2):
             return ZERO
-        _, n1, d2 = _pgcd(self._n, other._d)
-        _, n2, d1 = _pgcd(other._n, self._d)
-        return QRat._make(_pmul(n1, n2), _pmul(d1, d2))
+        v = self._v + other._v
+        if d1 == (1,) and d2 == (1,):
+            # Two nonzero constant terms have a nonzero product: no strip.
+            return QRat._make(v, _pmul(n1, n2), d1)
+        _, n1, d2 = _pgcd(n1, d2)
+        _, n2, d1 = _pgcd(n2, d1)
+        return QRat._make(v, _pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -527,8 +556,8 @@ class QRat:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self._n[-1] < 0:
-            return QRat._make(_pscale(self._d, -1), _pscale(self._n, -1))
-        return QRat._make(self._d, self._n)
+            return QRat._make(-self._v, _pscale(self._d, -1), _pscale(self._n, -1))
+        return QRat._make(-self._v, self._d, self._n)
 
     def __truediv__(self, other) -> QRat:
         other = _coerce(other)
@@ -555,24 +584,26 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._n == other._n and self._d == other._d
+        return self._v == other._v and self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
         if self.is_constant():
             return hash(self.as_fraction())
-        return hash((self._n, self._d))
+        return hash((self._v, self._n, self._d))
 
     def eval(self, q0: Scalar) -> Fraction:
         q0 = Fraction(q0)
         dv = _peval(self._d, q0)
-        if dv == 0:
+        if dv == 0 or (q0 == 0 and self._v < 0):
             raise PoleAtPoint(q0)
-        return _peval(self._n, q0) / dv
+        r = _peval(self._n, q0) / dv
+        return r * q0 ** self._v if self._v else r
 
     def __str__(self) -> str:
         # The text shows the primitive denominator, its content moved to
         # the numerator's coefficients.
-        n, d, s = self._n, self._d, _content(self._d)
+        n, d = self._pair()
+        s = _content(d)
         if s != 1:
             n, d = [Fraction(k, s) for k in n], [k // s for k in d]
         num_s = render_poly(n)
@@ -589,6 +620,22 @@ class QRat:
         return f"QRat({self})"
 
 
+def _qsum(v1: int, n1: IPoly, v2: int, n2: IPoly) -> tuple[int, IPoly]:
+    """q**v1 * n1 + q**v2 * n2 for n1(0), n2(0) != 0, as (v, t) with t(0) != 0,
+    or t == () for zero.  When v1 != v2 the lower term's constant survives;
+    only equal powers can cancel, and then the power of q that cancelled is
+    stripped from the sum."""
+    if v1 > v2:
+        return v2, _padd(_pshift(n1, v1 - v2), n2)
+    if v2 > v1:
+        return v1, _padd(n1, _pshift(n2, v2 - v1))
+    t = _padd(n1, n2)
+    if t and not t[0]:
+        s = _valuation(t)
+        return v1 + s, t[s:]
+    return v1, t
+
+
 def _coerce(v) -> QRat:
     if isinstance(v, QRat):
         return v
@@ -597,9 +644,9 @@ def _coerce(v) -> QRat:
     return NotImplemented
 
 
-ZERO = QRat._make((), (1,))
-ONE = QRat._make((1,), (1,))
-Q = QRat._make((0, 1), (1,))
+ZERO = QRat._make(0, (), (1,))
+ONE = QRat._make(0, (1,), (1,))
+Q = QRat._make(1, (1,), (1,))
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Independent oracles for the polynomial layer and the operators on it.
+"""Independent oracles for the coefficient field, the polynomial layer and
+the operators on it.
 
 Every property compares a symbolic result with plain function values: both
-sides are evaluated at rational points with `MPoly.eval_at` and `Fraction`
-arithmetic only, so none of the code under test appears on the oracle side.
-A point where some coefficient has a pole is skipped.
+sides are evaluated at rational points with `QRat.eval` or `MPoly.eval_at`
+and `Fraction` arithmetic only, so none of the code under test appears on
+the oracle side.  A point where some coefficient has a pole is skipped.
 """
 from fractions import Fraction
 
@@ -17,6 +18,59 @@ from qabel.qfield import ONE, PoleAtPoint, QRat
 from qabel.series import abel_sum, ps_exp
 
 from helpers import apply_series_of_D
+
+# Field values q^v * n/d, v in -4..4, drawn as (v, n, d): d is 1 (a
+# Laurent polynomial) or any nonzero integer polynomial.
+_ipoly = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+field_values = st.tuples(st.integers(-4, 4), _ipoly, st.one_of(st.just([1]), _ipoly.filter(any)))
+field_points = st.sampled_from([Fraction(2), Fraction(-3), Fraction(5, 7)])
+
+
+def _build(v: int, n: list, d: list) -> QRat:
+    """q^v * n/d from one constructor call, the power of q shifted into n or d."""
+    return QRat([0] * v + n, d) if v >= 0 else QRat(n, [0] * -v + d)
+
+
+def _horner(cs: list, q0: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * q0 + c
+    return acc
+
+
+def _field_value(v: int, n: list, d: list, q0: Fraction) -> Fraction:
+    """q0^v * n(q0)/d(q0), or a skipped example when d(q0) = 0."""
+    dv = _horner(d, q0)
+    assume(dv != 0)
+    return q0 ** v * _horner(n, q0) / dv
+
+
+@given(field_values, field_values, field_points)
+def test_field_ops_match_values(a, b, q0):
+    r, s = _build(*a), _build(*b)
+    x, y = _field_value(*a, q0), _field_value(*b, q0)
+    results = [(r + s, x + y), (r - s, x - y), (r * s, x * y)]
+    if y:
+        results += [(r / s, x / y), (s.inv(), 1 / y)]
+    for t, want in results:
+        assert t.eval(q0) == want
+        # Rebuilt from its views, a result is the same value in the same form.
+        u = QRat(t.num.coeffs, t.den.coeffs)
+        assert u == t and hash(u) == hash(t)
+
+
+@given(field_values, field_values)
+def test_equal_values_by_other_routes_hash_equal(a, b):
+    (v, n, d), r, s = a, _build(*a), _build(*b)
+    # r = head + tail, split after n's constant term; r - head cancels it.
+    head, tail = _build(v, n[:1], d), _build(v + 1, n[1:] or [0], d)
+    assert r - head == tail and hash(r - head) == hash(tail)
+    routes = [QRat.q_power(v) * QRat(n, d), head + tail, (r + s) - s]
+    if not s.is_zero():
+        routes.append((r * s) / s)
+    for t in routes:
+        assert t == r and hash(t) == hash(r)
+
 
 # Denominators 1, 1 - q, 1 + q and q: poles at q = 1, -1 and 0.
 _DENS = [(1,), (1, -1), (1, 1), (0, 1)]

@@ -2,8 +2,8 @@
 
 Every other module under src/qabel works through public methods: none reads
 MPoly's term table `._t` or builds a polynomial with `MPoly._raw`, and none
-reads QRat's stored numerator and denominator or builds a QRat with
-`QRat._make`.
+reads QRat's stored power of q, numerator and denominator or builds a
+QRat with `QRat._make`.
 """
 import ast
 from pathlib import Path
@@ -18,7 +18,7 @@ ALL_MODULES = sorted(SRC.glob("*.py"))
 # written against an older form is caught too.
 PRIVATE = {
     "mpoly.py": ("_t", "_raw"),
-    "qfield.py": ("_n", "_d", "_c", "_np", "_dp", "_make"),
+    "qfield.py": ("_v", "_n", "_d", "_c", "_np", "_dp", "_make"),
 }
 
 

@@ -148,6 +148,50 @@ class TestRendering:
         assert str(R([0, 3], [2])) == "3/2*q"
 
 
+class TestPowerOfQ:
+    """Values are stored as q^v * n/d; a Laurent polynomial has d = 1."""
+
+    def test_mixed_operands(self):
+        # (1 + q)/q^2 is Laurent; (1 - q)/(q + q^2) is not.
+        lau, gen = R([1, 1], [0, 0, 1]), R([1, -1], [0, 1, 1])
+        assert lau + gen == gen + lau == R([1, 3], [0, 0, 1, 1])
+        assert lau * gen == gen * lau == R([1, -1], [0, 0, 0, 1])
+        assert lau / gen == R([1, 2, 1], [0, 1, -1])
+        assert gen / lau == R([0, 1, -1], [1, 2, 1])
+
+    def test_power_cancels_completely(self):
+        r = QRat.q_power(3) * QRat.q_power(-3)
+        assert r == ONE and r.is_one() and r.is_constant()
+        assert hash(r) == hash(1) == hash(ONE)
+        assert str(r) == "1"
+
+    def test_laurent_sum_with_cancelled_low_terms(self):
+        # (1 + q + q^3)/q^2 - (1 + q)/q^2 = q: the power of q rises to 1.
+        r = R([1, 1, 0, 1], [0, 0, 1]) - R([1, 1], [0, 0, 1])
+        assert r == Q and hash(r) == hash(Q) and str(r) == "q"
+        # The same through the general sum: (1 + 2q^2)/(1 - q) - 1/(1 - q).
+        r = R([1, 0, 2], [1, -1]) - R([1], [1, -1])
+        assert r == R([0, 0, 2], [1, -1]) and str(r) == "-2*q^2/(q - 1)"
+
+    def test_power_of_q_in_both_parts_reduces(self):
+        r, s = QRat((0, 0, 2), (0, 4)), QRat((0, 1), (2,))
+        assert r == s and str(r) == str(s) == "1/2*q" and hash(r) == hash(s)
+
+    def test_eval_at_zero(self):
+        with pytest.raises(PoleAtPoint):
+            QRat.q_power(-2).eval(0)
+        assert QRat.q_power(2).eval(0) == 0
+        assert QRat.q_power(0).eval(0) == 1
+
+    def test_views_multiply_the_power_back(self):
+        r = QRat.q_power(-3)
+        assert r.num.coeffs == (1,) and r.den.coeffs == (0, 0, 0, 1)
+        assert str(r) == "1/q^3"
+        r = R([0, 0, 1], [1, -1])
+        assert r.num.coeffs == (0, 0, -1) and r.den.coeffs == (-1, 1)
+        assert str(r) == "-q^2/(q - 1)"
+
+
 class TestQPoly:
     def test_of_trims(self):
         p = QPoly.of([1, 2, 0])

@@ -1,0 +1,91 @@
+"""Count the `QRat` products and sums that take each lane, per workload.
+
+    python3 tools/qrat_lanes.py [--workload NAME ...] [--seed 13]
+
+Runs each benchmark workload's commands (`perfbench/workloads.py`) through
+`cli.run_command` in a fresh interpreter, so the caches start cold as in
+the benchmark, with `QRat.__mul__`/`__rmul__` and `__add__`/`__radd__`
+wrapped by a counter that sorts each call by its operands, after the
+same coercion the operator applies:
+
+    zero      an operand is zero, and the other one (or zero) is returned
+    laurent   both stored denominators are (1,): values q**v * n, no gcd
+    general   any other pair: Henrici's sum or the cross-reduced product
+
+Differences and quotients are counted as the sums and products they
+become.  The wrapper calls the real operator, so outputs are unchanged;
+nothing under `src/` or `perfbench/` is modified.  Prints one row per
+workload.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from qabel import qfield  # noqa: E402
+from qabel.cli import run_command  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+LANES = ("zero", "laurent", "general")
+COLUMNS = [(op, lane) for op in ("mul", "add") for lane in LANES]
+
+
+def lane_of(r, other) -> str | None:
+    s = qfield._coerce(other)
+    if s is NotImplemented:
+        return None
+    if r.is_zero() or s.is_zero():
+        return "zero"
+    return "laurent" if r._d == (1,) and s._d == (1,) else "general"
+
+
+def count_lanes(argvs) -> Counter:
+    counts = Counter()
+    cls = qfield.QRat
+    saved = {name: getattr(cls, name) for name in ("__mul__", "__rmul__", "__add__", "__radd__")}
+
+    def counting(op, fn):
+        def wrapper(self, other):
+            lane = lane_of(self, other)
+            if lane:
+                counts[op, lane] += 1
+            return fn(self, other)
+        return wrapper
+
+    for name, fn in saved.items():
+        setattr(cls, name, counting("mul" if "mul" in name else "add", fn))
+    try:
+        for argv in argvs:
+            run_command(list(argv))
+    finally:
+        for name, fn in saved.items():
+            setattr(cls, name, fn)
+    return counts
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, default=13)
+    ap.add_argument("--one", choices=sorted(WORKLOADS), help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.one:
+        counts = count_lanes(cmd.argv for cmd in WORKLOADS[args.one].commands(args.seed))
+        cells = [f"{counts[c]:,}" for c in COLUMNS]
+        print(f"| {args.one} | " + " | ".join(cells) + " |")
+        return 0
+    print("| workload | " + " | ".join(f"{op} {lane}" for op, lane in COLUMNS) + " |")
+    print("|---" * (len(COLUMNS) + 1) + "|", flush=True)
+    for name in args.workload or list(WORKLOADS):
+        subprocess.run([sys.executable, __file__, "--one", name, "--seed", str(args.seed)], check=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
