@@ -5,15 +5,30 @@ set is a closed enumeration; q itself is not a symbol, it lives inside the
 coefficients where denominators and negative powers are allowed.  Terms are
 iterated in graded lexicographic order with precedence x > y > a > b > t,
 so rendering is canonical.
+
+A term table maps an exponent key, a tuple of five nonnegative ints, to a
+nonzero coefficient.  The sum of products `dot` forms its products term by
+term (Monagan & Pearce, "Sparse polynomial multiplication and division in
+Maple 14", 2009).  With two or more nonzero pairs whose coefficients are all
+Laurent polynomials q**v * n, it packs each coefficient once as an integer
+pair (v, N), N = n(2**W) in the chunks of `qfield._pmul`'s Kronecker
+substitution, and forms every term-pair product and sum on those integers.
+W is the smallest machine word that holds every coefficient of every
+partial sum (`qfield._laurent_word`); when some coefficient is not Laurent,
+or no word is wide enough, the sum is formed on QRat values instead.  A
+single product always is: packing its coefficients costs as much as the
+few products it would serve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Union
 
-from .qfield import ONE as QR_ONE, QRat, Scalar, ZERO as QR_ZERO, _power, _render_terms
+from .qfield import (ONE as QR_ONE, QRat, Scalar, ZERO as QR_ZERO, _laurent_pack, _laurent_unpack, _laurent_word,
+                     _power, _render_terms)
 
 CoeffLike = Union[QRat, int, Fraction]
 
@@ -67,7 +82,9 @@ class MPoly:
         t: dict[tuple, QRat] = {}
         if terms:
             for mono, c in terms.items():
-                key = mono.exps if isinstance(mono, Monomial) else tuple(mono)
+                key = tuple(mono.exps if isinstance(mono, Monomial) else mono)
+                if len(key) != _NSYM or not all(type(e) is int and e >= 0 for e in key):
+                    raise ValueError(f"exponent key must be {_NSYM} nonnegative ints, got {mono!r}")
                 c = _as_coeff(c)
                 if not c.is_zero():
                     t[key] = c
@@ -336,20 +353,68 @@ def _collect(out: dict, pairs: Iterable[tuple[tuple, QRat]]) -> dict:
 def _product(t1: dict, t2: dict) -> dict:
     """The term table of the product of two nonzero term tables."""
     return _collect({}, (
-        (tuple(e1 + e2 for e1, e2 in zip(k1, k2)), c1 * c2)
+        (tuple(map(add, k1, k2)), c1 * c2)
         for k1, c1 in t1.items()
         for k2, c2 in t2.items()
     ))
 
 
+def _packed_dot(tables: list[tuple[dict, dict]]) -> dict | None:
+    """The term table of the sum of the products of the nonzero (u, v) term
+    tables, formed on packed Laurent coefficients; None when a coefficient
+    is not Laurent or the sum's coefficients need more than a machine word.
+
+    Each coefficient is packed once, as (v, N) with N an integer holding the
+    q-coefficients in W-bit chunks (`qfield._laurent_word`).  A term pair's
+    product is (v1 + v2, N1 * N2), added into the running table by shifting
+    the N with the larger v up W bits per power of q; each output term is
+    unpacked into a coefficient once, and one whose sum is zero is dropped.
+    """
+    lefts = {id(u): u for u, _ in tables}
+    rights = {id(v): v for _, v in tables}
+    word = _laurent_word((c for t in lefts.values() for c in t.values()),
+                         (c for t in rights.values() for c in t.values()),
+                         sum(len(u) * len(v) for u, v in tables))
+    if word is None:
+        return None
+    nb, code = word
+    w = 8 * nb
+    packed = {i: _laurent_pack(t.items(), nb, code) for i, t in {**lefts, **rights}.items()}
+    acc: dict[tuple, tuple[int, int]] = {}
+    for tu, tv in tables:
+        pv = packed[id(tv)]
+        for ku, vu, nu in packed[id(tu)]:
+            for kv, vv, nv in pv:
+                k = tuple(map(add, ku, kv))
+                v = vu + vv
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = v, nu * nv
+                elif s[0] == v:
+                    acc[k] = v, s[1] + nu * nv
+                elif s[0] < v:
+                    acc[k] = s[0], s[1] + (nu * nv << w * (v - s[0]))
+                else:
+                    acc[k] = v, (s[1] << w * (s[0] - v)) + nu * nv
+    return _laurent_unpack(acc.items(), nb, code)
+
+
 def dot(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
-    """The sum of u * v over the (u, v) pairs, in order: each product is
-    formed in its own term table, then added whole into the running table."""
-    out: dict = {}
-    for u, v in pairs:
-        if u._t and v._t:
-            p = _product(u._t, v._t)
-            out = _collect(out, p.items()) if out else p
+    """The sum of u * v over the (u, v) pairs.
+
+    Two or more nonzero pairs go through `_packed_dot` when it applies.
+    Otherwise, and for a single product, each product is formed in its own
+    term table, then added whole into the running table, in order.
+    """
+    tables = [(u._t, v._t) for u, v in pairs if u._t and v._t]
+    if len(tables) > 1:
+        out = _packed_dot(tables)
+        if out is not None:
+            return MPoly._raw(out)
+    out = {}
+    for tu, tv in tables:
+        p = _product(tu, tv)
+        out = _collect(out, p.items()) if out else p
     return MPoly._raw(out)
 
 

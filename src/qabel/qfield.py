@@ -134,15 +134,25 @@ def _pmul(f: IPoly, g: IPoly) -> IPoly:
     nb = (w + 7) // 8
     nb, code = _WORDS.get(nb, (nb, ""))
     n = len(f) + len(g) - 1
-    ones = int.from_bytes((b"\1" + bytes(nb - 1)) * n, "little")  # 1 in each chunk
-    offsets = ones << (8 * nb - 1)
-    buf = ((_kpack(f, nb, code, ones, lo_f < 0) * _kpack(g, nb, code, ones, lo_g < 0) + offsets)
-           ^ offsets).to_bytes(n * nb, _ORDER)
-    if code:
-        out = array(code, buf).tolist()
-    else:
-        out = [int.from_bytes(buf[i:i + nb], _ORDER, signed=True) for i in range(0, n * nb, nb)]
+    ones = _ones(nb, n)
+    out = _kread(_kpack(f, nb, code, ones, lo_f < 0) * _kpack(g, nb, code, ones, lo_g < 0), n, nb, code, ones)
     return _pshift(_trim(out), vf + vg)
+
+
+def _ones(nb: int, n: int) -> int:
+    """The integer with a 1 in each of n chunks of nb bytes."""
+    return int.from_bytes((b"\1" + bytes(nb - 1)) * n, "little")
+
+
+def _kread(packed: int, n: int, nb: int, code: str, ones: int) -> list:
+    """The n coefficients, low first, of the polynomial whose value at
+    q = 2**(8 * nb) is packed, each below 2**(8 * nb - 1) in magnitude: the
+    offset and XOR decode described in `_pmul`.  ones is `_ones(nb, n)`."""
+    offsets = ones << (8 * nb - 1)
+    buf = ((packed + offsets) ^ offsets).to_bytes(n * nb, _ORDER)
+    if code:
+        return array(code, buf).tolist()
+    return [int.from_bytes(buf[i:i + nb], _ORDER, signed=True) for i in range(0, n * nb, nb)]
 
 
 def _kpack(f: IPoly, nb: int, code: str, ones: int, signed: bool) -> int:
@@ -647,6 +657,89 @@ def _coerce(v) -> QRat:
 ZERO = QRat._make(0, (), (1,))
 ONE = QRat._make(0, (1,), (1,))
 Q = QRat._make(1, (1,), (1,))
+
+
+# --------------------------------------------------------------------------
+# Laurent values packed as integers, for sums of many products (mpoly.dot).
+# A Laurent value q**v * n is packed as (v, N) with N = n(2**W), in the W-bit
+# chunks of `_pmul`: a product of two packed values is (v1 + v2, N1 * N2),
+# and a sum shifts the N with the larger v up by W bits per power of q and
+# adds.  W is a machine word wide enough for every coefficient of the sum.
+# --------------------------------------------------------------------------
+
+def _laurent_scan(values, budget: int) -> tuple[int, int] | None:
+    """(bit size of the largest |coefficient|, length of the longest
+    numerator) over nonzero values, or None at the first value that is not
+    a Laurent polynomial or has a coefficient of more than budget bits."""
+    bits = longest = 0
+    for c in values:
+        if c._d != (1,):
+            return None
+        n = c._n
+        b = max(max(n), -min(n)).bit_length()
+        if b > bits:
+            if b > budget:
+                return None
+            bits = b
+        if len(n) > longest:
+            longest = len(n)
+    return bits, longest
+
+
+def _laurent_word(left, right, products: int) -> tuple[int, str] | None:
+    """The machine word (byte size, `array` typecode) whose chunks hold every
+    coefficient of a sum of `products` products u * v, u from the nonzero
+    values left and v from right; None when a value is not Laurent or no
+    machine word is wide enough.
+
+    Each coefficient of one product is a sum of at most min(len u, len v)
+    products of two coefficients, so the sum's coefficients are below
+    2**(W - 1) in magnitude when W is at least bits(max|u|) + bits(max|v|)
+    + bits(min(longest u, longest v)) + bits(products) + 1, lengths
+    counting the coefficients of the numerators.  Every partial sum obeys
+    the same bound, so each one reads back exactly.
+    """
+    room = 8 * max(_WORDS, default=0) - 1 - products.bit_length()
+    lhs = _laurent_scan(left, room - 2)  # right's bits and the length take one bit each, at least
+    rhs = lhs and _laurent_scan(right, room - 1 - lhs[0])
+    if not rhs:
+        return None
+    w = lhs[0] + rhs[0] + min(lhs[1], rhs[1]).bit_length() + products.bit_length() + 1
+    return _WORDS.get((w + 7) // 8)
+
+
+def _laurent_pack(items, nb: int, code: str) -> list[tuple[object, int, int]]:
+    """(key, v, N) for each (key, c) of items, c = q**v * n a nonzero Laurent
+    value and N the value of n at q = 2**(8 * nb); every coefficient of n
+    must fit nb signed bytes, and code is the typecode of an nb-byte word."""
+    out = []
+    for k, c in items:
+        n = c._n
+        out.append((k, c._v, n[0] if len(n) == 1 else _kpack(n, nb, code, _ones(nb, len(n)), min(n) < 0)))
+    return out
+
+
+def _laurent_unpack(items, nb: int, code: str) -> dict:
+    """{key: q**v * n} for each (key, (v, N)) of items with N = n(2**W) nonzero,
+    W = 8 * nb, and every coefficient of n below 2**(W - 1) in magnitude; a
+    zero N is dropped.  The zero chunks at the bottom of N move into v, and
+    the rest read back by `_kread`."""
+    w = 8 * nb
+    top = 1 << (w - 1)
+    out = {}
+    for k, (v, packed) in items:
+        if not packed:
+            continue
+        s = ((packed & -packed).bit_length() - 1) // w
+        if s:
+            packed >>= w * s
+            v += s
+        if -top < packed < top:
+            out[k] = QRat._make(v, (packed,), (1,))
+        else:
+            n = packed.bit_length() // w + 1
+            out[k] = QRat._make(v, _trim(_kread(packed, n, nb, code, _ones(nb, n))), (1,))
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from qabel import mpoly
 from qabel.mpoly import MPoly, Monomial, Symbol, dot, mp_arith, mp_coeffs_in, mp_eval_q1, mp_subst
 from qabel.qcomb import qint
-from qabel.qfield import PoleAtPoint, QRat
+from qabel.qfield import _WORDS, PoleAtPoint, QRat, _laurent_pack, _laurent_unpack, _laurent_word
 
 X = MPoly.var(Symbol.x)
 Y = MPoly.var(Symbol.y)
@@ -32,6 +33,52 @@ def mpolys(draw):
     for exps, m, e in terms:
         out = out + MPoly({exps: QRat.from_scalar(m) * qp(e)})
     return out
+
+
+# Laurent polynomials q^v * n for the packed lane of `dot`, v in -4..4, up
+# to three terms.  The coefficients are small or near 2^bits, give or take
+# one; with bits in 7, 15, 31 and 63, and drawn once for each side of a
+# `dot`, the chunk width lands on each machine word and past the widest one,
+# where `dot` falls back.
+_BITS = st.sampled_from([1, 7, 15, 31, 63])
+
+
+@st.composite
+def wide_coeffs(draw, bits: int):
+    edge = st.builds(lambda d, s: s * (2 ** bits + d), st.integers(-1, 1), st.sampled_from([1, -1]))
+    cs = draw(st.lists(st.one_of(st.integers(-3, 3), edge), min_size=1, max_size=4))
+    return qp(draw(st.integers(-4, 4))) * QRat(cs)
+
+
+@st.composite
+def wide_mpolys(draw, bits: int):
+    keys = draw(st.lists(st.tuples(*(st.integers(0, 2) for _ in range(5))), max_size=3, unique=True))
+    return MPoly({k: draw(wide_coeffs(bits)) for k in keys})
+
+
+@st.composite
+def wide_pairs(draw):
+    """2 to 5 (u, v) pairs, some of them zero."""
+    lb, rb = draw(_BITS), draw(_BITS)
+    return draw(st.lists(st.tuples(wide_mpolys(lb), wide_mpolys(rb)), min_size=2, max_size=5))
+
+
+def _pairwise(pairs) -> MPoly:
+    """The sum of u * v, one product and one sum at a time."""
+    acc = MPoly.zero()
+    for u, v in pairs:
+        acc = acc + u * v
+    return acc
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("key", [(1,), (1, 0, 0, 0, 0, 7), (-1, 0, 0, 0, 0)])
+    def test_malformed_exponent_key_is_rejected(self, key):
+        with pytest.raises(ValueError, match="exponent key"):
+            MPoly({key: 1})
+
+    def test_monomial_and_tuple_keys_agree(self):
+        assert MPoly({Monomial((1, 0, 2, 0, 0)): 3}) == MPoly({(1, 0, 2, 0, 0): 3}) == (X * A ** 2).scale(3)
 
 
 class TestArith:
@@ -192,17 +239,77 @@ def test_coeffs_in_recombines(p):
     assert total == p
 
 
-@given(st.lists(st.tuples(*[st.one_of(st.just(MPoly.zero()), mpolys())] * 2), max_size=5))
+@settings(max_examples=200)
+@given(st.one_of(st.lists(st.tuples(*[st.one_of(st.just(MPoly.zero()), mpolys())] * 2), max_size=5), wide_pairs()))
 @example([])
 @example([(MPoly.zero(), X + A), (X - B, Y), (X, MPoly.zero()), (-X, Y)])
+@example([(X.scale(QRat([1], [1, 1])), A.scale(2 ** 40)), (X.scale(qp(-3)), A.scale(QRat([5, -2 ** 31])))])
 def test_dot_is_the_sum_of_products(pairs):
-    acc = MPoly.zero()
-    for u, v in pairs:
-        acc = acc + u * v
-    assert dot(pairs) == acc
+    # Compared with the pairwise sum, which forms every product and sum on
+    # QRat values, and with Fraction values at a point.
+    out = dot(pairs)
+    assert out == _pairwise(pairs)
+    assert hash(out) == hash(_pairwise(pairs))
     point = {s: Fraction(i + 2, 3) for i, s in enumerate(Symbol)}
     at = Fraction(5, 7)
-    assert dot(pairs).eval_at(at, point) == sum(u.eval_at(at, point) * v.eval_at(at, point) for u, v in pairs)
+    assert out.eval_at(at, point) == sum(u.eval_at(at, point) * v.eval_at(at, point) for u, v in pairs)
+
+
+@given(_BITS.flatmap(wide_coeffs), st.sampled_from(sorted({s for s, _ in _WORDS.values()})))
+def test_laurent_pack_round_trip(c, nb):
+    # A nonzero value whose coefficients fit the word reads back as itself.
+    assume(not c.is_zero() and max(abs(k) for k in c.num.coeffs) < 2 ** (8 * nb - 1))
+    ((key, v, packed),) = _laurent_pack([("k", c)], *_WORDS[nb])
+    assert _laurent_unpack([(key, (v, packed))], *_WORDS[nb]) == {"k": c}
+
+
+class TestPackedDot:
+    """Edge cases of `dot`'s packed lane (`mpoly._packed_dot`)."""
+
+    # Three pairs of single terms, each numerator three coefficients of
+    # -(2^b - 1): the width bound is lb + rb + bits(3) + bits(3) + 1, and the
+    # middle coefficient of the sum, 9 * (2^lb - 1) * (2^rb - 1), is as
+    # large as it allows.  At 65 bits the sum would overflow a 64-bit chunk.
+    @pytest.mark.parametrize("lb, rb, nb", [(1, 2, 1), (2, 2, 2), (5, 6, 2), (6, 6, 4), (13, 14, 4),
+                                            (14, 14, 8), (29, 30, 8), (30, 30, None)])
+    def test_width_edges(self, lb, rb, nb):
+        cu, cv = QRat([1 - 2 ** lb] * 3), QRat([1 - 2 ** rb] * 3)
+        pairs = [(X.scale(cu), A.scale(cv)) for _ in range(3)]
+        word = _laurent_word([cu] * 3, [cv] * 3, 3)
+        assert (word and word[0]) == nb
+        packed = mpoly._packed_dot([(u._t, v._t) for u, v in pairs])
+        assert (packed is None) == (nb is None)
+        assert dot(pairs) == (X * A).scale(cu * cv * 3) == _pairwise(pairs)
+
+    def test_general_coefficient_falls_back(self):
+        pairs = [(X.scale(QRat([1], [1, 1])), A), (X, A)]
+        assert mpoly._packed_dot([(u._t, v._t) for u, v in pairs]) is None
+        assert dot(pairs) == (X * A).scale(QRat([2, 1], [1, 1]))
+
+    def test_all_terms_cancel(self):
+        out = dot([(X, A.scale(QRat([1, 2]))), (X.scale(-1), A), (X.scale(-2), A.scale(Q))])
+        assert out == MPoly.zero() and out.is_zero()
+
+    def test_low_powers_cancel(self):
+        # (1 + q) x a - x a: the constant term cancels, so v rises to 1.
+        out = dot([(X, A.scale(QRat([1, 1]))), (X, -A)])
+        assert out == (X * A).scale(Q)
+        assert str(out) == "q*x*a"
+
+    def test_power_of_q_cancels(self):
+        # (1/q + 1) * q - q: v runs -1, 0 and 1 across the terms, and the sum is 1.
+        out = dot([(MPoly.const(QRat([1, 1], [0, 1])), MPoly.const(Q)), (MPoly.const(-1), MPoly.const(Q))])
+        assert out == MPoly.one()
+        assert hash(out) == hash(1) == hash(MPoly.one())
+
+    def test_substitution_by_zero(self):
+        # y := 0 empties the factor table of every term that holds y.
+        p = dot([(X + Y, Y + A), (Y, X.scale(Q)), (A, B)])
+        assert p.subst(Symbol.y, MPoly.zero()) == X * A + A * B
+        gone = Y.subst(Symbol.y, 0)
+        assert gone.is_zero()
+        assert dot([(gone, X), (A, B), (X, gone)]) == A * B
+        assert dot([(gone, X), (X, gone)]) == MPoly.zero()
 
 
 @given(mpolys(), mpolys())

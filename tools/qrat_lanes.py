@@ -1,4 +1,5 @@
-"""Count the `QRat` products and sums that take each lane, per workload.
+"""Count the `QRat` products and sums that take each lane, and the sums
+of products that `mpoly.dot` forms on packed integers, per workload.
 
     python3 tools/qrat_lanes.py [--workload NAME ...] [--seed 13]
 
@@ -13,9 +14,19 @@ same coercion the operator applies:
     general   any other pair: Henrici's sum or the cross-reduced product
 
 Differences and quotients are counted as the sums and products they
-become.  The wrapper calls the real operator, so outputs are unchanged;
-nothing under `src/` or `perfbench/` is modified.  Prints one row per
-workload.
+become.  A `dot` of two or more nonzero pairs first tries the packed lane,
+`mpoly._packed_dot`, whose term-pair products and sums are integer
+operations that no `QRat` counter sees.  That function is wrapped too, and
+each call is counted as
+
+    packed     the lane formed the sum
+    general    it fell back: some coefficient is not Laurent
+    too wide   it fell back: every coefficient is Laurent, but the sum's
+               coefficients need more than a machine word
+    pair products   the term-pair products the packed dots formed
+
+The wrappers call the real functions, so outputs are unchanged; nothing
+under `src/` or `perfbench/` is modified.  Prints one row per workload.
 """
 from __future__ import annotations
 
@@ -28,12 +39,13 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from qabel import qfield  # noqa: E402
+from qabel import mpoly, qfield  # noqa: E402
 from qabel.cli import run_command  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 LANES = ("zero", "laurent", "general")
 COLUMNS = [(op, lane) for op in ("mul", "add") for lane in LANES]
+COLUMNS += [("dot", kind) for kind in ("packed", "general", "too wide", "pair products")]
 
 
 def lane_of(r, other) -> str | None:
@@ -58,14 +70,29 @@ def count_lanes(argvs) -> Counter:
             return fn(self, other)
         return wrapper
 
+    packed_dot = mpoly._packed_dot
+
+    def counting_dot(tables):
+        out = packed_dot(tables)
+        if out is not None:
+            counts["dot", "packed"] += 1
+            counts["dot", "pair products"] += sum(len(u) * len(v) for u, v in tables)
+        elif all(c._d == (1,) for pair in tables for t in pair for c in t.values()):
+            counts["dot", "too wide"] += 1
+        else:
+            counts["dot", "general"] += 1
+        return out
+
     for name, fn in saved.items():
         setattr(cls, name, counting("mul" if "mul" in name else "add", fn))
+    mpoly._packed_dot = counting_dot
     try:
         for argv in argvs:
             run_command(list(argv))
     finally:
         for name, fn in saved.items():
             setattr(cls, name, fn)
+        mpoly._packed_dot = packed_dot
     return counts
 
 
