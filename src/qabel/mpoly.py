@@ -323,15 +323,11 @@ class MPoly:
 
 
 def _wrap_coeff(s: str) -> str:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == " " and depth == 0:
-            return f"({s})"
-    return s
+    """The text s of a `QRat`, in parentheses when it has a space outside
+    them.  A QRat renders as a sum of terms, with a space between each two,
+    or as n/d with n and d each in parentheses when it has a space; so a
+    space lies outside parentheses exactly when the text has no "("."""
+    return f"({s})" if " " in s and "(" not in s else s
 
 
 def _collect(out: dict, pairs: Iterable[tuple[tuple, QRat]]) -> dict:

@@ -12,10 +12,13 @@ q**(v1 + v2) * n1*n2, since two nonzero constant terms have a nonzero
 product, and add by shifting the numerator with the larger v and taking
 off the power of q that cancelled; neither takes a gcd.  Any other value
 is reduced by one gcd in Z[q], `_pgcd`: the gcd of the integer contents
-times the gcd of the primitive parts, which the heuristic gcd GCDHEU finds
-and proves by exact division, with the primitive PRS as its fallback.
-`_pgcd` also returns the two cofactors, so a reduction divides nothing
-further.  The views and the text multiply the power of q back into the
+times the gcd of the primitive parts.  The heuristic gcd GCDHEU finds the
+latter at q = 2**W, in the Kronecker chunks of `_pmul`: the candidate and
+the cofactors are the balanced base-2**W digits of the integer gcd of the
+packed values and of the exact quotients by it, and each cofactor is
+proven by a norm bound or by multiplying back; the primitive PRS is the
+fallback.  `_pgcd` returns the two cofactors too, so a reduction divides
+nothing further.  The views and the text multiply the power of q back into the
 pair and show the denominator as a primitive integer polynomial, with its
 content divided into the numerator's coefficients; the rendering of a
 value is bit-reproducible.
@@ -28,7 +31,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, isqrt as _isqrt, lcm as _lcm
+from math import gcd as _int_gcd, lcm as _lcm
 from operator import add as _add
 from typing import Sequence, Union
 
@@ -69,7 +72,8 @@ def _padd(f: IPoly, g: IPoly) -> IPoly:
     return _trim(out)
 
 
-# Below this length of the shorter operand, _pmul multiplies schoolbook.
+# Below this length of the shorter operand, _pmul multiplies schoolbook;
+# below it, too, _kpack and _kread pack and read back by shifts in Python.
 _KRONECKER_MIN = 8
 
 # The word sizes of the Kronecker chunks that `array` packs and unpacks in
@@ -129,14 +133,10 @@ def _pmul(f: IPoly, g: IPoly) -> IPoly:
                 for j, b in enumerate(g, i):
                     out[j] += a * b
         return _trim(out)
-    lo_f, hi_f, lo_g, hi_g = min(f), max(f), min(g), max(g)
-    w = max(hi_f, -lo_f).bit_length() + max(hi_g, -lo_g).bit_length() + len(f).bit_length() + 1
+    w = max(max(f), -min(f)).bit_length() + max(max(g), -min(g)).bit_length() + len(f).bit_length() + 1
     nb = (w + 7) // 8
     nb, code = _WORDS.get(nb, (nb, ""))
-    n = len(f) + len(g) - 1
-    ones = _ones(nb, n)
-    out = _kread(_kpack(f, nb, code, ones, lo_f < 0) * _kpack(g, nb, code, ones, lo_g < 0), n, nb, code, ones)
-    return _pshift(_trim(out), vf + vg)
+    return _pshift(_kread(_kpack(f, nb, code) * _kpack(g, nb, code), nb, code), vf + vg)
 
 
 def _ones(nb: int, n: int) -> int:
@@ -144,27 +144,49 @@ def _ones(nb: int, n: int) -> int:
     return int.from_bytes((b"\1" + bytes(nb - 1)) * n, "little")
 
 
-def _kread(packed: int, n: int, nb: int, code: str, ones: int) -> list:
-    """The n coefficients, low first, of the polynomial whose value at
-    q = 2**(8 * nb) is packed, each below 2**(8 * nb - 1) in magnitude: the
-    offset and XOR decode described in `_pmul`.  ones is `_ones(nb, n)`."""
-    offsets = ones << (8 * nb - 1)
+def _kread(packed: int, nb: int, code: str) -> IPoly:
+    """The polynomial whose value at q = 2**W, W = 8 * nb, is the integer
+    packed and whose coefficients lie in [-2**(W - 1), 2**(W - 1)): the
+    balanced base-2**W digits of packed, low first, trimmed.  Up to
+    _KRONECKER_MIN chunks they are taken off one at a time by shifts;
+    beyond, by the offset and XOR decode described in `_pmul`, unpacked by
+    `array` when code is the typecode of an nb-byte word."""
+    w = 8 * nb
+    n = packed.bit_length() // w + 2  # one chunk more than the bits need: the top digit cannot overflow
+    if n <= _KRONECKER_MIN:
+        out = []
+        mask, top = (1 << w) - 1, 1 << (w - 1)
+        while packed:
+            d = packed & mask
+            if d & top:
+                d -= mask + 1
+            out.append(d)
+            packed = (packed - d) >> w
+        return tuple(out)
+    offsets = _ones(nb, n) << (w - 1)
     buf = ((packed + offsets) ^ offsets).to_bytes(n * nb, _ORDER)
     if code:
-        return array(code, buf).tolist()
-    return [int.from_bytes(buf[i:i + nb], _ORDER, signed=True) for i in range(0, n * nb, nb)]
+        return _trim(array(code, buf).tolist())
+    return _trim([int.from_bytes(buf[i:i + nb], _ORDER, signed=True) for i in range(0, n * nb, nb)])
 
 
-def _kpack(f: IPoly, nb: int, code: str, ones: int, signed: bool) -> int:
-    """f at q = 2**(8 * nb), each coefficient fitting nb signed bytes: the
+def _kpack(f: IPoly, nb: int, code: str) -> int:
+    """f at q = 2**(8 * nb), each coefficient fitting nb signed bytes.  Below
+    _KRONECKER_MIN coefficients this is Horner's rule with shifts; else the
     chunks are packed by `array` when code is the typecode of an nb-byte
-    word, else one coefficient at a time.  ones has a 1 in each chunk."""
+    word, or one coefficient at a time."""
+    w = 8 * nb
+    if len(f) < _KRONECKER_MIN:
+        packed = 0
+        for c in reversed(f):
+            packed = (packed << w) + c
+        return packed
     raw = array(code, f).tobytes() if code else b"".join([c.to_bytes(nb, _ORDER, signed=True) for c in f])
     packed = int.from_bytes(raw, _ORDER)
-    if signed:
+    if min(f) < 0:
         # A negative chunk reads as c + 2**W: take the 2**W borrow back
         # from the next chunk up, one for each chunk whose top bit is set.
-        packed -= ((packed >> (8 * nb - 1)) & ones) << (8 * nb)
+        packed -= ((packed >> (w - 1)) & _ones(nb, len(f))) << w
     return packed
 
 
@@ -249,9 +271,9 @@ def _pgcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly]:
     vol. 2, 4.6.1).  The lowest power of q is split off first, so a monomial
     costs no remainder; each operand is then split once into content and
     primitive part.  The gcd of the primitive parts is 1 when one of them is
-    a constant; two parts of positive degree go through the heuristic gcd,
-    `_heu_gcd`, and through the primitive PRS, `_prs_gcd`, in the rare case
-    that it gives up.
+    a constant, and the part itself when the two are equal; two other parts
+    of positive degree go through the heuristic gcd, `_heu_gcd`, and through
+    the primitive PRS, `_prs_gcd`, in the rare case that it gives up.
     """
     if f == (1,) or g == (1,):
         return (1,), f, g
@@ -262,6 +284,8 @@ def _pgcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly]:
     c = _int_gcd(cf, cg)
     if len(fp) == 1 or len(gp) == 1:
         h = (1,)
+    elif fp == gp:
+        h, fp, gp = fp, (1,), (1,)
     else:
         h, fp, gp = _heu_gcd(fp, gp) or _prs_gcd(fp, gp)
     if h == (1,) and c == 1 and v == 0:
@@ -275,31 +299,61 @@ _HEU_TRIES = 6
 
 
 def _heu_gcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly] | None:
-    """(h, f/h, g/h) for the gcd h of primitive f and g of positive degree, by
-    the heuristic gcd of Char, Geddes & Gonnet (GCDHEU, J. Symb. Comp. 1989),
-    or None when no evaluation point gives it.
+    """(h, f/h, g/h) for the gcd h of distinct primitive f and g of positive
+    degree, by the heuristic gcd of Char, Geddes & Gonnet (GCDHEU, J. Symb.
+    Comp. 1989), or None when no evaluation point gives it.
 
-    Both are evaluated at one integer xi, and the candidate h is the primitive
-    part of the polynomial whose balanced base-xi digits spell the integer
-    gcd of the two values.  While xi >= 2 * min(|f|, |g|) + 2 (max-norms), a
-    candidate that divides both f and g is their gcd; each division is
-    checked for a zero remainder, and the quotients are the cofactors.  A
-    failed point moves xi up as sympy's dup_zz_heu_gcd does, which keeps it
-    above the bound.
+    Both are evaluated at xi = 2**W, W a whole number of bytes with
+    2**W >= 2 * max(|f|, |g|) + 29 (max-norms), so every coefficient fits a
+    W-bit chunk and the values F and G are the Kronecker packings of
+    `_kpack`.  The candidate h is the primitive part of the balanced
+    base-2**W digits of gcd(F, G), read back by `_kread`.  Since
+    xi > 2 * min(|f|, |g|) + 1, a candidate that divides both f and g is
+    their gcd.  (The digits lie in [-xi/2, xi/2); those of -gcd(F, G) in
+    (-xi/2, xi/2], as the theorem has them, have the same primitive part.)
+    Each division is proven by `_heu_cofactor`; a failed point moves W up
+    by about a quarter, as sympy's dup_zz_heu_gcd takes xi to about xi**1.25.
     """
-    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    top = max(max(f), -min(f), max(g), -min(g))
+    nb = ((2 * top + 28).bit_length() + 7) // 8
     for _ in range(_HEU_TRIES):
-        ff, gg = _ieval(f, xi), _ieval(g, xi)
-        if ff and gg:
-            h = _primitive(_digits(_int_gcd(ff, gg), xi))[1]
-            if h == (1,):
-                return h, f, g
-            a, r = _divrem(f, h)
-            if not any(r):
-                b, r = _divrem(g, h)
-                if not any(r):
-                    return h, a, b
-        xi = 73794 * xi * _isqrt(_isqrt(xi)) // 27011
+        nb, code = _WORDS.get(nb, (nb, ""))
+        ff, gg = _kpack(f, nb, code), _kpack(g, nb, code)
+        gam = _int_gcd(ff, gg)
+        c, h = _primitive(_kread(gam, nb, code))
+        if h == (1,):
+            return h, f, g
+        hh = gam // c
+        a = _heu_cofactor(f, ff, h, hh, nb, code)
+        b = a and _heu_cofactor(g, gg, h, hh, nb, code)
+        if b:
+            return h, a, b
+        nb += nb // 4 + 1
+    return None
+
+
+def _heu_cofactor(f: IPoly, ff: int, h: IPoly, hh: int, nb: int, code: str) -> IPoly | None:
+    """f/h, proven, for ff = f(2**W) and hh = h(2**W), W = 8 * nb, with every
+    coefficient of f below 2**(W - 1) in magnitude; None when h does not
+    divide f.
+
+    The quotient a is read back from ff // hh; a nonzero remainder means
+    that h does not divide f.  If bits(|a|) + bits(|h|) + bits(min(len a,
+    len h)) < W (max-norms), every coefficient of h * a is a sum of at most
+    min(len a, len h) products below 2**(bits|a| + bits|h|), so it lies in
+    (-2**(W - 1), 2**(W - 1)) like those of f; h * a and f have the same
+    value at 2**W, and hence the same digits.  Otherwise the product is
+    formed and compared with f.
+    """
+    if f == h:
+        return (1,)
+    a, r = divmod(ff, hh)
+    if r:
+        return None
+    a = _kread(a, nb, code)
+    bits = max(max(a), -min(a)).bit_length() + max(max(h), -min(h)).bit_length()
+    if bits + min(len(a), len(h)).bit_length() < 8 * nb or _pmul(h, a) == f:
+        return a
     return None
 
 
@@ -312,28 +366,6 @@ def _prs_gcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly]:
             return (1,), f, g
         a, b = b, _primitive(_prem(a, b))[1]
     return a, _divexact(f, a), _divexact(g, a)
-
-
-def _ieval(f: IPoly, x: int) -> int:
-    """f at the integer q = x, by Horner's rule."""
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _digits(n: int, x: int) -> IPoly:
-    """The polynomial whose value at q = x is n and whose coefficients lie in
-    (-x/2, x/2]: the balanced base-x digits of n, low first."""
-    out = []
-    half = x // 2
-    while n:
-        d = n % x
-        if d > half:
-            d -= x
-        out.append(d)
-        n = (n - d) // x
-    return tuple(out)
 
 
 def _peval(f: IPoly, x: Fraction) -> Fraction:
@@ -715,7 +747,7 @@ def _laurent_pack(items, nb: int, code: str) -> list[tuple[object, int, int]]:
     out = []
     for k, c in items:
         n = c._n
-        out.append((k, c._v, n[0] if len(n) == 1 else _kpack(n, nb, code, _ones(nb, len(n)), min(n) < 0)))
+        out.append((k, c._v, _kpack(n, nb, code)))
     return out
 
 
@@ -725,7 +757,6 @@ def _laurent_unpack(items, nb: int, code: str) -> dict:
     zero N is dropped.  The zero chunks at the bottom of N move into v, and
     the rest read back by `_kread`."""
     w = 8 * nb
-    top = 1 << (w - 1)
     out = {}
     for k, (v, packed) in items:
         if not packed:
@@ -734,11 +765,7 @@ def _laurent_unpack(items, nb: int, code: str) -> dict:
         if s:
             packed >>= w * s
             v += s
-        if -top < packed < top:
-            out[k] = QRat._make(v, (packed,), (1,))
-        else:
-            n = packed.bit_length() // w + 1
-            out[k] = QRat._make(v, _trim(_kread(packed, n, nb, code, _ones(nb, n))), (1,))
+        out[k] = QRat._make(v, _kread(packed, nb, code), (1,))
     return out
 
 

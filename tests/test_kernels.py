@@ -219,10 +219,21 @@ class TestPgcdCofactors:
         _check_pgcd(*fg)
 
     def test_candidate_that_does_not_divide(self):
-        # At the first point, 35, the integer gcd spells 8 - 11q + q^2, which
-        # divides neither operand; the next point, 191, gives the gcd 1 + 3q.
-        f, g = (2, 5, -2, 3), (-1, -3, 1, 3)
-        assert _pgcd(f, g) == ((1, 3), (2, -1, 1), (-1, 0, 1))
+        # At the first point, 2**8, the integer gcd spells 123q - 28, which
+        # divides neither operand; the second point, 2**16, gives the gcd
+        # q + 4.  Each point packs both operands once.
+        f, g = (16, 16, 7, 1), (-4, -9, 6, 2)
+        widths = []
+        kpack = qfield._kpack
+
+        def recording_kpack(p, nb, code):
+            widths.append(nb)
+            return kpack(p, nb, code)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qfield, "_kpack", recording_kpack)
+            assert _pgcd(f, g) == ((4, 1), (4, 3, 1), (-1, -2, 2))
+        assert widths == [1, 1, 2, 2]
 
     def test_unit_operand_returns_the_other(self):
         f = (0, -6, 4)
@@ -240,6 +251,108 @@ class TestPgcdCofactors:
             g = schoolbook(g, qint(k))
         _check_pgcd(f, g)
         _check_pgcd(schoolbook(f, (0, 0, 3)), schoolbook(g, (0, -2)))
+
+
+def _recording(mp, name, sink):
+    """Replace qfield.<name> by a wrapper that appends each call's arguments to sink."""
+    real = getattr(qfield, name)
+
+    def recording(*args):
+        sink.append(args)
+        return real(*args)
+
+    mp.setattr(qfield, name, recording)
+
+
+def qint_poly(k):
+    return (1,) * k
+
+
+@st.composite
+def wide_ipolys(draw):
+    """Primitive polynomials of 4 to _KRONECKER_MIN terms: constant term 1,
+    coefficients of up to 90 bits and a leading one past 2**64."""
+    mid = draw(st.lists(st.integers(-(2**90), 2**90), min_size=2, max_size=_KRONECKER_MIN - 2))
+    lead = draw(st.integers(2**64, 2**90)) * draw(st.sampled_from([1, -1]))
+    return (1, *mid, lead)
+
+
+class TestHeuristicGcd:
+    """The heuristic gcd at q = 2**W: wide chunks, both proofs of a
+    cofactor, and the operands of the lagrange workload."""
+
+    @settings(max_examples=40)
+    @given(wide_ipolys(), wide_ipolys(), wide_ipolys())
+    def test_wider_than_a_machine_word(self, h, a, b):
+        # Coefficients past 2**63 make W at least 72 bits, so an operand of
+        # _KRONECKER_MIN terms or more is packed one chunk at a time.
+        assume(a != b)
+        f = schoolbook(h, a)
+        g = schoolbook(h, b)
+        packed = []
+        with pytest.MonkeyPatch.context() as mp:
+            _recording(mp, "_kpack", packed)
+            _check_pgcd(f, g)
+        assert packed and all(nb > 8 and code == "" for _, nb, code in packed)
+        assert any(len(p) >= _KRONECKER_MIN for p, _, _ in packed)
+
+    def test_multiply_back_when_the_bound_fails(self):
+        # Small coefficients, so W = 8, but min(len a, len h) = 40 takes six
+        # bits of it: bits(|a|) + bits(|h|) + bits(40) >= W, and each cofactor
+        # is proven by forming h * a.
+        h = qint_poly(40)
+        f = schoolbook(h, tuple(1 if i % 3 else 2 for i in range(40)))
+        g = schoolbook(h, tuple(1 if i % 5 else -1 for i in range(41)))
+        products = []
+        with pytest.MonkeyPatch.context() as mp:
+            _recording(mp, "_pmul", products)
+            got = _pgcd(f, g)
+        assert len(products) == 2
+        assert got[0] == zgcd_reference(f, g)
+        assert schoolbook(got[0], got[1]) == f and schoolbook(got[0], got[2]) == g
+
+    @settings(max_examples=60)
+    @given(st.integers(8, 11), st.data())
+    def test_lagrange_operands(self, k, data):
+        # Numerators of Laurent coefficients against the numerator of [k]!,
+        # of more than 24 coefficients: each numerator is a small polynomial
+        # times some of the q-integers [j], j <= k, and a power of q.
+        fac = (1,)
+        for j in range(1, k + 1):
+            fac = schoolbook(fac, qint_poly(j))
+        num = data.draw(ipolys(max_len=6, max_bits=20, max_shift=0).filter(bool))
+        for j in data.draw(st.lists(st.integers(2, k), max_size=6)):
+            num = schoolbook(num, qint_poly(j))
+        num = (0,) * data.draw(st.integers(0, 3)) + num
+        assert len(fac) > 24
+        _check_pgcd(num, fac)
+        _check_pgcd(fac, num)
+
+
+class TestPacking:
+    """`_kpack` and `_kread` on both sides of _KRONECKER_MIN, at machine
+    words and past them, against a plain sum of powers of two."""
+
+    @given(st.integers(1, 10), st.data())
+    def test_round_trip(self, nb, data):
+        top = 2 ** (8 * nb - 1)
+        f = data.draw(st.lists(st.integers(-top + 1, top - 1), max_size=3 * _KRONECKER_MIN))
+        while f and f[-1] == 0:
+            f.pop()
+        f = tuple(f)
+        for size, code in ((nb, ""), qfield._WORDS.get(nb, (nb, ""))):
+            packed = qfield._kpack(f, size, code)
+            assert packed == sum(c << (8 * size * i) for i, c in enumerate(f))
+            assert qfield._kread(packed, size, code) == f
+
+    @given(st.integers(1, 10), st.integers(-(2**700), 2**700))
+    def test_balanced_digits(self, nb, n):
+        for size, code in ((nb, ""), qfield._WORDS.get(nb, (nb, ""))):
+            w = 8 * size
+            digits = qfield._kread(n, size, code)
+            assert sum(d << (w * i) for i, d in enumerate(digits)) == n
+            assert all(-(2 ** (w - 1)) <= d < 2 ** (w - 1) for d in digits)
+            assert not digits or digits[-1]
 
 
 class TestPgcdFallback:

@@ -210,6 +210,28 @@ class TestRendering:
     def test_constant_fraction(self):
         assert str(MPoly.const(QRat([1], [0, 1]))) == "1/q"
 
+    def test_coefficient_wrapped_when_a_sum(self):
+        c = QRat([1, -1], [1, 1])
+        assert str(X.scale(c) + MPoly.const(QRat([1, 1]))) == "-(q - 1)/(q + 1)*x + (q + 1)"
+        assert str(X.scale(QRat([0, 2], [3, 1]))) == "2*q/(q + 3)*x"
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any),
+           st.lists(st.integers(1, 4), max_size=3))
+    def test_wrap_matches_depth_scan(self, num, den, scale):
+        # The wrap of a coefficient's text against a scan for a space at
+        # parenthesis depth zero.
+        def depth_scan(s):
+            depth = 0
+            for ch in s:
+                depth += (ch == "(") - (ch == ")")
+                if ch == " " and depth == 0:
+                    return f"({s})"
+            return s
+
+        c = QRat(num, den) * QRat([1], scale or [1])
+        assert mpoly._wrap_coeff(str(c)) == depth_scan(str(c))
+
 
 class TestMonomial:
     def test_exponents_view_drops_zeros(self):
