@@ -72,8 +72,7 @@ def _padd(f: IPoly, g: IPoly) -> IPoly:
     return _trim(out)
 
 
-# Below this length of the shorter operand, _pmul multiplies schoolbook;
-# below it, too, _kpack and _kread pack and read back by shifts in Python.
+# Below this length of the shorter operand, _pmul multiplies schoolbook.
 _KRONECKER_MIN = 8
 
 # The word sizes of the Kronecker chunks that `array` packs and unpacks in
@@ -133,10 +132,14 @@ def _pmul(f: IPoly, g: IPoly) -> IPoly:
                 for j, b in enumerate(g, i):
                     out[j] += a * b
         return _trim(out)
-    w = max(max(f), -min(f)).bit_length() + max(max(g), -min(g)).bit_length() + len(f).bit_length() + 1
+    lo_f, hi_f, lo_g, hi_g = min(f), max(f), min(g), max(g)
+    w = max(hi_f, -lo_f).bit_length() + max(hi_g, -lo_g).bit_length() + len(f).bit_length() + 1
     nb = (w + 7) // 8
     nb, code = _WORDS.get(nb, (nb, ""))
-    return _pshift(_kread(_kpack(f, nb, code) * _kpack(g, nb, code), nb, code), vf + vg)
+    n = len(f) + len(g) - 1
+    ones = _ones(nb, n)
+    out = _kread(_kpack(f, nb, code, ones, lo_f < 0) * _kpack(g, nb, code, ones, lo_g < 0), n, nb, code, ones)
+    return _pshift(_trim(out), vf + vg)
 
 
 def _ones(nb: int, n: int) -> int:
@@ -144,50 +147,61 @@ def _ones(nb: int, n: int) -> int:
     return int.from_bytes((b"\1" + bytes(nb - 1)) * n, "little")
 
 
-def _kread(packed: int, nb: int, code: str) -> IPoly:
-    """The polynomial whose value at q = 2**W, W = 8 * nb, is the integer
-    packed and whose coefficients lie in [-2**(W - 1), 2**(W - 1)): the
-    balanced base-2**W digits of packed, low first, trimmed.  Up to
-    _KRONECKER_MIN chunks they are taken off one at a time by shifts;
-    beyond, by the offset and XOR decode described in `_pmul`, unpacked by
-    `array` when code is the typecode of an nb-byte word."""
-    w = 8 * nb
-    n = packed.bit_length() // w + 2  # one chunk more than the bits need: the top digit cannot overflow
-    if n <= _KRONECKER_MIN:
-        out = []
-        mask, top = (1 << w) - 1, 1 << (w - 1)
-        while packed:
-            d = packed & mask
-            if d & top:
-                d -= mask + 1
-            out.append(d)
-            packed = (packed - d) >> w
-        return tuple(out)
-    offsets = _ones(nb, n) << (w - 1)
+def _kread(packed: int, n: int, nb: int, code: str, ones: int) -> list:
+    """The n coefficients, low first, of the polynomial whose value at
+    q = 2**(8 * nb) is packed, each below 2**(8 * nb - 1) in magnitude: the
+    offset and XOR decode described in `_pmul`.  ones is `_ones(nb, n)`."""
+    offsets = ones << (8 * nb - 1)
     buf = ((packed + offsets) ^ offsets).to_bytes(n * nb, _ORDER)
     if code:
-        return _trim(array(code, buf).tolist())
-    return _trim([int.from_bytes(buf[i:i + nb], _ORDER, signed=True) for i in range(0, n * nb, nb)])
+        return array(code, buf).tolist()
+    return [int.from_bytes(buf[i:i + nb], _ORDER, signed=True) for i in range(0, n * nb, nb)]
 
 
-def _kpack(f: IPoly, nb: int, code: str) -> int:
-    """f at q = 2**(8 * nb), each coefficient fitting nb signed bytes.  Below
-    _KRONECKER_MIN coefficients this is Horner's rule with shifts; else the
+def _kpack(f: IPoly, nb: int, code: str, ones: int, signed: bool) -> int:
+    """f at q = 2**(8 * nb), each coefficient fitting nb signed bytes: the
     chunks are packed by `array` when code is the typecode of an nb-byte
-    word, or one coefficient at a time."""
-    w = 8 * nb
-    if len(f) < _KRONECKER_MIN:
-        packed = 0
-        for c in reversed(f):
-            packed = (packed << w) + c
-        return packed
+    word, else one coefficient at a time.  ones has a 1 in each chunk."""
     raw = array(code, f).tobytes() if code else b"".join([c.to_bytes(nb, _ORDER, signed=True) for c in f])
     packed = int.from_bytes(raw, _ORDER)
-    if min(f) < 0:
+    if signed:
         # A negative chunk reads as c + 2**W: take the 2**W borrow back
         # from the next chunk up, one for each chunk whose top bit is set.
-        packed -= ((packed >> (w - 1)) & _ones(nb, len(f))) << w
+        packed -= ((packed >> (8 * nb - 1)) & ones) << (8 * nb)
     return packed
+
+
+def _kval(f: IPoly, nb: int, code: str) -> int:
+    """f at q = 2**(8 * nb), each coefficient fitting nb signed bytes: by
+    shifts below _KRONECKER_MIN coefficients, where that costs less than
+    setting up `array`, else by `_kpack`."""
+    if len(f) >= _KRONECKER_MIN:
+        return _kpack(f, nb, code, _ones(nb, len(f)), min(f) < 0)
+    w = 8 * nb
+    packed = 0
+    for c in reversed(f):
+        packed = (packed << w) + c
+    return packed
+
+
+def _kdigits(packed: int, nb: int, code: str) -> IPoly:
+    """The polynomial whose value at q = 2**W, W = 8 * nb, is packed and whose
+    coefficients lie in [-2**(W - 1), 2**(W - 1)): the balanced base-2**W
+    digits of packed, low first, trimmed.  Up to _KRONECKER_MIN chunks they
+    are taken off by shifts, else read back by `_kread`."""
+    w = 8 * nb
+    n = packed.bit_length() // w + 2  # one chunk more than the bits need: the top digit cannot overflow
+    if n > _KRONECKER_MIN:
+        return _trim(_kread(packed, n, nb, code, _ones(nb, n)))
+    out = []
+    mask, top = (1 << w) - 1, 1 << (w - 1)
+    while packed:
+        d = packed & mask
+        if d & top:
+            d -= mask + 1
+        out.append(d)
+        packed = (packed - d) >> w
+    return tuple(out)
 
 
 def _pscale(f: IPoly, k: int) -> IPoly:
@@ -208,12 +222,7 @@ def _valuation(f: IPoly) -> int:
 
 
 def _content(f: IPoly) -> int:
-    g = 0
-    for c in f:
-        g = _int_gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+    return _int_gcd(*f)
 
 
 def _primitive(f: IPoly) -> tuple[int, IPoly]:
@@ -228,7 +237,7 @@ def _primitive(f: IPoly) -> tuple[int, IPoly]:
         c = -c
     if c == 1:
         return 1, f
-    return c, tuple(x // c for x in f)
+    return c, tuple([x // c for x in f])
 
 
 def _divrem(f: IPoly, g: IPoly) -> tuple[IPoly, list]:
@@ -305,9 +314,9 @@ def _heu_gcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly] | None:
 
     Both are evaluated at xi = 2**W, W a whole number of bytes with
     2**W >= 2 * max(|f|, |g|) + 29 (max-norms), so every coefficient fits a
-    W-bit chunk and the values F and G are the Kronecker packings of
-    `_kpack`.  The candidate h is the primitive part of the balanced
-    base-2**W digits of gcd(F, G), read back by `_kread`.  Since
+    W-bit chunk and the values F and G are Kronecker packings (`_kval`).
+    The candidate h is the primitive part of the balanced base-2**W digits
+    of gcd(F, G) (`_kdigits`).  Since
     xi > 2 * min(|f|, |g|) + 1, a candidate that divides both f and g is
     their gcd.  (The digits lie in [-xi/2, xi/2); those of -gcd(F, G) in
     (-xi/2, xi/2], as the theorem has them, have the same primitive part.)
@@ -318,9 +327,9 @@ def _heu_gcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly] | None:
     nb = ((2 * top + 28).bit_length() + 7) // 8
     for _ in range(_HEU_TRIES):
         nb, code = _WORDS.get(nb, (nb, ""))
-        ff, gg = _kpack(f, nb, code), _kpack(g, nb, code)
+        ff, gg = _kval(f, nb, code), _kval(g, nb, code)
         gam = _int_gcd(ff, gg)
-        c, h = _primitive(_kread(gam, nb, code))
+        c, h = _primitive(_kdigits(gam, nb, code))
         if h == (1,):
             return h, f, g
         hh = gam // c
@@ -350,7 +359,7 @@ def _heu_cofactor(f: IPoly, ff: int, h: IPoly, hh: int, nb: int, code: str) -> I
     a, r = divmod(ff, hh)
     if r:
         return None
-    a = _kread(a, nb, code)
+    a = _kdigits(a, nb, code)
     bits = max(max(a), -min(a)).bit_length() + max(max(h), -min(h)).bit_length()
     if bits + min(len(a), len(h)).bit_length() < 8 * nb or _pmul(h, a) == f:
         return a
@@ -747,7 +756,7 @@ def _laurent_pack(items, nb: int, code: str) -> list[tuple[object, int, int]]:
     out = []
     for k, c in items:
         n = c._n
-        out.append((k, c._v, _kpack(n, nb, code)))
+        out.append((k, c._v, _kval(n, nb, code)))
     return out
 
 
@@ -755,7 +764,7 @@ def _laurent_unpack(items, nb: int, code: str) -> dict:
     """{key: q**v * n} for each (key, (v, N)) of items with N = n(2**W) nonzero,
     W = 8 * nb, and every coefficient of n below 2**(W - 1) in magnitude; a
     zero N is dropped.  The zero chunks at the bottom of N move into v, and
-    the rest read back by `_kread`."""
+    the rest read back by `_kdigits`."""
     w = 8 * nb
     out = {}
     for k, (v, packed) in items:
@@ -765,7 +774,7 @@ def _laurent_unpack(items, nb: int, code: str) -> dict:
         if s:
             packed >>= w * s
             v += s
-        out[k] = QRat._make(v, _kread(packed, nb, code), (1,))
+        out[k] = QRat._make(v, _kdigits(packed, nb, code), (1,))
     return out
 
 
