@@ -308,20 +308,18 @@ _HEU_TRIES = 6
 
 
 def _heu_gcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly] | None:
-    """(h, f/h, g/h) for the gcd h of distinct primitive f and g of positive
-    degree, by the heuristic gcd of Char, Geddes & Gonnet (GCDHEU, J. Symb.
-    Comp. 1989), or None when no evaluation point gives it.
+    """(h, f/h, g/h) for the gcd h of primitive f and g of positive degree, by
+    the heuristic gcd of Char, Geddes & Gonnet (GCDHEU, J. Symb. Comp. 1989),
+    or None when no evaluation point gives it.
 
-    Both are evaluated at xi = 2**W, W a whole number of bytes with
-    2**W >= 2 * max(|f|, |g|) + 29 (max-norms), so every coefficient fits a
-    W-bit chunk and the values F and G are Kronecker packings (`_kval`).
-    The candidate h is the primitive part of the balanced base-2**W digits
-    of gcd(F, G) (`_kdigits`).  Since
-    xi > 2 * min(|f|, |g|) + 1, a candidate that divides both f and g is
-    their gcd.  (The digits lie in [-xi/2, xi/2); those of -gcd(F, G) in
-    (-xi/2, xi/2], as the theorem has them, have the same primitive part.)
-    Each division is proven by `_heu_cofactor`; a failed point moves W up
-    by about a quarter, as sympy's dup_zz_heu_gcd takes xi to about xi**1.25.
+    Both are evaluated at xi = 2**W, W whole bytes with 2**W >= 2 * max(|f|,
+    |g|) + 29 (max-norms), so the values F, G are Kronecker packings
+    (`_kval`).  The candidate h is the primitive part of the balanced
+    base-2**W digits of gcd(F, G) (`_kdigits`; those of -gcd(F, G), with the
+    theorem's rounding, have the same primitive part).  Since
+    xi > 2 * min(|f|, |g|) + 1, a candidate that divides both f and g is their
+    gcd; `_heu_cofactor` proves each division.  A failed point moves W up by
+    about a quarter, as sympy's dup_zz_heu_gcd takes xi to about xi**1.25.
     """
     top = max(max(f), -min(f), max(g), -min(g))
     nb = ((2 * top + 28).bit_length() + 7) // 8
@@ -342,17 +340,16 @@ def _heu_gcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly] | None:
 
 
 def _heu_cofactor(f: IPoly, ff: int, h: IPoly, hh: int, nb: int, code: str) -> IPoly | None:
-    """f/h, proven, for ff = f(2**W) and hh = h(2**W), W = 8 * nb, with every
+    """f/h, proven, for ff = f(2**W) and hh = h(2**W), W = 8 * nb, every
     coefficient of f below 2**(W - 1) in magnitude; None when h does not
-    divide f.
+    divide f, as when ff // hh leaves a remainder.
 
-    The quotient a is read back from ff // hh; a nonzero remainder means
-    that h does not divide f.  If bits(|a|) + bits(|h|) + bits(min(len a,
-    len h)) < W (max-norms), every coefficient of h * a is a sum of at most
-    min(len a, len h) products below 2**(bits|a| + bits|h|), so it lies in
-    (-2**(W - 1), 2**(W - 1)) like those of f; h * a and f have the same
-    value at 2**W, and hence the same digits.  Otherwise the product is
-    formed and compared with f.
+    The quotient a is read back from ff // hh.  If bits(|a|) + bits(|h|) +
+    bits(min(len a, len h)) < W (max-norms), each coefficient of h * a, a sum
+    of at most min(len a, len h) products below 2**(bits|a| + bits|h|), lies
+    in (-2**(W - 1), 2**(W - 1)) like those of f; the two have the same
+    value at 2**W, hence the same digits.  Otherwise h * a is formed and
+    compared with f.
     """
     if f == h:
         return (1,)
