@@ -17,7 +17,7 @@ only.
 from math import comb, gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qabel import qfield
 from qabel.qfield import _KRONECKER_MIN, QRat, _divexact, _pgcd, _pmul, _prem, _primitive
@@ -345,6 +345,7 @@ class TestPacking:
             assert qfield._kdigits(packed, size, code) == f
 
     @given(st.integers(1, 10), st.integers(-(2**700), 2**700))
+    @example(1, int("7f" + "80" * 9, 16))  # every digit carries: 11 chunks for 10 bytes
     def test_balanced_digits(self, nb, n):
         for size, code in ((nb, ""), qfield._WORDS.get(nb, (nb, ""))):
             w = 8 * size
