@@ -26,7 +26,7 @@ from .mpoly import A, B, MPoly, Symbol, X, Y
 from .operators import InvalidIndex
 from .qcomb import qbinom, qfac, qint, qpoch
 from .qfield import DivisionByZero, PoleAtPoint, QRat
-from .registry import CheckResult, UnknownIdentity
+from .registry import CheckResult, UnknownIdentity, WorkerDied
 from .series import PowerSeries, ps_exp
 
 
@@ -36,8 +36,12 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int, expected: set[str]):
         hint = f" (expected {', '.join(sorted(expected))})" if expected else ""
         super().__init__(f"{message} at offset {offset}{hint}")
+        self.message = message
         self.offset = offset
         self.expected = frozenset(expected)
+
+    def __reduce__(self):
+        return type(self), (self.message, self.offset, self.expected)
 
 
 class UnknownFunction(ValueError):
@@ -411,7 +415,7 @@ def _cmd_verify(ns) -> tuple[str, int]:
             registry.get_identity(identity_id)
     if ns.max_n < 0 or ns.order < 0 or ns.jobs < 1:
         raise _UsageError("--max-n and --order must be nonnegative, --jobs positive")
-    results = registry.verify(ns.ids, max_n=ns.max_n, order=ns.order)
+    results = registry.verify(ns.ids, max_n=ns.max_n, order=ns.order, jobs=ns.jobs)
     report = Report(tuple(results), format="json" if ns.json else "text")
     return report.render(), 0 if all(e.passed for e in results) else 1
 
@@ -483,7 +487,8 @@ def run_command(argv: list[str], stderr=None) -> tuple[str, int]:
         return _DISPATCH[ns.command](ns)
     except SystemExit as exc:
         return "", int(exc.code or 0)
-    except (_UsageError, NonScalarDenominator, DivisionByZero, PoleAtPoint, UnknownIdentity, ValueError) as exc:
+    except (_UsageError, NonScalarDenominator, DivisionByZero, PoleAtPoint, UnknownIdentity, ValueError,
+            WorkerDied) as exc:
         print(f"error: {exc}", file=err)
         return "", 2
     except RecursionError:

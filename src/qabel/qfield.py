@@ -49,6 +49,9 @@ class PoleAtPoint(ArithmeticError):
         super().__init__(f"denominator vanishes at q = {point}")
         self.point = point
 
+    def __reduce__(self):
+        return type(self), (self.point,)
+
 
 # --------------------------------------------------------------------------
 # Dense integer polynomials, little endian, as plain tuples.  () is zero.
@@ -594,8 +597,12 @@ class QRat:
         if d1 == (1,) and d2 == (1,):
             # Two nonzero constant terms have a nonzero product: no strip.
             return QRat._make(v, _pmul(n1, n2), d1)
-        _, n1, d2 = _pgcd(n1, d2)
-        _, n2, d1 = _pgcd(n2, d1)
+        # Cross-reduce each numerator against the other denominator, unless
+        # either is (1,): then there is no factor to cancel.
+        if n1 != (1,) and d2 != (1,):
+            _, n1, d2 = _pgcd(n1, d2)
+        if n2 != (1,) and d1 != (1,):
+            _, n2, d1 = _pgcd(n2, d1)
         return QRat._make(v, _pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__

@@ -14,11 +14,12 @@ biorthogonality, and E(xz)/(1 - rate z).
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from functools import partial
 from math import comb, factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import abel
 from .abel import FamilyId
@@ -44,6 +45,10 @@ class UnknownIdentity(LookupError):
 
 class MissingParam(ValueError):
     """A parameter required by the identity was not supplied."""
+
+
+class WorkerDied(RuntimeError):
+    """A worker process of `verify` ended before returning its results."""
 
 
 ONE = MPoly.one()
@@ -572,12 +577,55 @@ def enumerate_checks(
     return tasks
 
 
+def worker_count(jobs: int, groups: int) -> int:
+    """Worker processes for `verify`: min(jobs, groups, CPU count), and one
+    where the platform cannot fork.  Starts nothing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(jobs, groups, os.cpu_count() or 1))
+
+
+def _run_group(checks: list[tuple[str, dict[str, int]]]) -> list[CheckResult]:
+    return [check_identity(i, p) for i, p in checks]
+
+
+def _run_groups(groups: list, workers: int) -> Iterator[list[CheckResult]]:
+    """Each group's results, in order: in this process with one worker,
+    else on a pool of forked workers, one group per task."""
+    if workers == 1:
+        yield from map(_run_group, groups)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield from pool.map(_run_group, groups)
+    except BrokenProcessPool:
+        raise WorkerDied("a verify worker process died before its checks finished") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def verify(
     ids: Iterable[str] | None = None,
     max_n: int = DEFAULT_MAX_N,
     order: int = DEFAULT_ORDER,
+    jobs: int = 1,
 ) -> list[CheckResult]:
-    """Run registry checks one after another; results sorted by (id, params)."""
-    results = [check_identity(i, p) for i, p in enumerate_checks(ids, max_n=max_n, order=order)]
+    """Run registry checks; results sorted by (id, params).
+
+    The checks of one identity form one group, which runs in one process,
+    so the family members and powers it caches serve the whole group.  With
+    jobs > 1 the groups run on `worker_count(jobs, groups)` forked worker
+    processes; with one worker they run here, one after another.  A check
+    that raises in a worker raises the same exception here.
+    """
+    groups: dict[str, list] = {}
+    for identity_id, params in enumerate_checks(ids, max_n=max_n, order=order):
+        groups.setdefault(identity_id, []).append((identity_id, params))
+    tasks = list(groups.values())
+    results = [r for done in _run_groups(tasks, worker_count(jobs, len(tasks))) for r in done]
     results.sort(key=lambda r: (r.identity_id, tuple(sorted(r.params.items()))))
     return results

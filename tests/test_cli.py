@@ -1,13 +1,19 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import pickle
 import re
+import subprocess
+import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from helpers import corrupt_family
-from qabel import cli
+from qabel import cli, registry
 from qabel.abel import FamilyId, abel_poly
 from qabel.cli import (
     ArityError,
@@ -25,7 +31,7 @@ from qabel.cli import (
 from qabel.mpoly import MPoly, Symbol
 from qabel.operators import InvalidIndex
 from qabel.qcomb import qint
-from qabel.qfield import DivisionByZero, QRat
+from qabel.qfield import DivisionByZero, PoleAtPoint, QRat
 
 
 def run(argv):
@@ -79,6 +85,16 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse_expr("x ? 1")
         assert exc.value.offset == 2
+
+    def test_parse_error_pickles(self):
+        # verify --jobs re-raises a worker's exception here from a pickle
+        with pytest.raises(ParseError) as exc:
+            parse_expr("qbinom(4,")
+        err = exc.value
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ParseError
+        assert str(back) == str(err)
+        assert (back.offset, back.expected) == (err.offset, err.expected)
 
 
 class TestEval:
@@ -291,6 +307,89 @@ class TestVerifyCommand:
             out, code, _ = run(["verify", "--id", "1.8", "--max-n", "3"])
         assert code == 1
         assert "FAIL" in out and "difference:" in out
+
+
+# The elapsed times of verify's text and JSON reports.
+_ELAPSED = re.compile(r"\(\d+\.\d ms\)|\"elapsed_ms\": [-+.\deE]+")
+
+
+def _masked(result):
+    out, code, err = result
+    return _ELAPSED.sub("_", out), code, err
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let `--jobs 2` start two workers on a one-CPU host too."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _swap_check(monkeypatch, identity_id, compute):
+    ident = registry.REGISTRY[identity_id]
+    monkeypatch.setitem(registry.REGISTRY, identity_id, replace(ident, compute=compute))
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestVerifyJobs:
+    """`verify --jobs 2` runs each identity's checks as one task on forked
+    worker processes; nothing of its report or exit code may change."""
+
+    SEVERAL = ["verify", "--id", "1.8", "--id", "2.2", "--id", "5.9", "--id", "4.13", "--id", "3.3-vs-3.5",
+               "--max-n", "3", "--order", "4"]
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_pool_output_matches_in_process(self, fmt):
+        par = run(self.SEVERAL + fmt + ["--jobs", "2"])
+        seq = run(self.SEVERAL + fmt)
+        assert seq[1] == 0
+        assert _masked(par) == _masked(seq)
+        assert multiprocessing.active_children() == []
+
+    def test_corrupted_family_fails_alike(self):
+        argv = ["verify", "--id", "1.8", "--id", "1.7", "--id", "3.2", "--id", "2.1", "--max-n", "3"]
+        with corrupt_family(FamilyId.G, n=2):
+            par = run(argv + ["--jobs", "2"])
+            seq = run(argv)
+        assert seq[1] == 1 and "difference:" in seq[0]
+        assert _masked(par) == _masked(seq)
+
+    @pytest.mark.parametrize("error, text", [
+        (lambda k: PoleAtPoint(Fraction(k)), "denominator vanishes at q = {k}"),
+        (lambda k: ParseError("unexpected token", k, {")"}), "unexpected token at offset {k} (expected ))"),
+    ])
+    def test_worker_exception_reraised(self, monkeypatch, error, text):
+        # Every check raises; the first identity's error is the one reported.
+        for i, identity_id in enumerate(("5.5", "5.4", "0.3"), start=1):
+            def raises(_i=i, **params):
+                raise error(_i)
+            _swap_check(monkeypatch, identity_id, raises)
+        argv = ["verify", "--id", "5.5", "--id", "5.4", "--id", "0.3", "--max-n", "2"]
+        par = run(argv + ["--jobs", "2"])
+        assert par == run(argv) == ("", 2, f"error: {text.format(k=1)}\n")
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_2(self, monkeypatch):
+        parent = os.getpid()
+
+        def dies(**params):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("the check ran in the test process")
+
+        _swap_check(monkeypatch, "5.4", dies)
+        out, code, err = run(["verify", "--id", "5.5", "--id", "5.4", "--max-n", "2", "--jobs", "2"])
+        assert (out, code) == ("", 2)
+        assert err.startswith("error: ") and "worker" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+
+    def test_one_job_imports_no_pool(self):
+        code = ("import sys; from qabel.cli import run_command; run_command(['verify', '--id', '5.4']); "
+                "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.stdout == "[]\n", proc.stderr
 
 
 class TestListCommand:

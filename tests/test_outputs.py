@@ -39,3 +39,13 @@ def test_outputs_match_pinned_digests():
         if tool.digest(out, err.getvalue(), code) != pinned[" ".join(argv)]:
             changed.append(" ".join(argv))
     assert not changed, f"output changed for {len(changed)} command(s): {changed}"
+
+
+def test_jobs_twins_pin_the_in_process_digest():
+    # verify on worker processes must print what it prints in-process
+    with open(os.path.join(ROOT, "tests", "outputs.sha256")) as fh:
+        pinned = dict(reversed(line.rstrip("\n").split(" ", 1)) for line in fh)
+    twins = [cmd for cmd in pinned if cmd.endswith(" --jobs 2")]
+    assert len(twins) == 3
+    for cmd in twins:
+        assert pinned[cmd] == pinned[cmd[: -len(" --jobs 2")]], cmd

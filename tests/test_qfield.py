@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from qabel.qfield import (
     qrat_equal,
     qrat_eval,
 )
+from qabel.qfield import _pgcd, _pmul
 
 
 def R(num, den=(1,)):
@@ -121,6 +123,14 @@ class TestEval:
             qrat_eval(R([1], [1, -1]), 1)
         assert exc.value.point == 1
 
+    def test_pole_pickles(self):
+        # verify --jobs re-raises a worker's exception here from a pickle
+        err = PoleAtPoint(Fraction(2, 3))
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is PoleAtPoint
+        assert str(back) == str(err) == "denominator vanishes at q = 2/3"
+        assert back.point == err.point
+
     def test_pole_only_when_reduced(self):
         # (1 - q^2)/(1 - q) is 1 + q after reduction: no pole at q = 1
         assert qrat_eval(R([1, 0, -1], [1, -1]), 1) == 2
@@ -203,6 +213,42 @@ class TestQPoly:
     def test_top_nonzero_enforced(self):
         with pytest.raises(ValueError):
             QPoly((Fraction(1), Fraction(0)))
+
+
+def _cross_reduced_product(r: QRat, s: QRat) -> QRat:
+    """r * s with both numerators reduced against the other denominator,
+    whatever the denominators are."""
+    _, n1, d2 = _pgcd(r._n, s._d)
+    _, n2, d1 = _pgcd(s._n, r._d)
+    return QRat._make(r._v + s._v, _pmul(n1, n2), _pmul(d1, d2))
+
+
+@st.composite
+def unit_sided(draw):
+    """Nonzero n/q^k, whose denominator is (1,) (the Laurent values), or
+    q^k/d, whose numerator is (1,)."""
+    poly, k = QRat(draw(_nonzero_poly)), draw(st.integers(-3, 3))
+    if not draw(st.booleans()):
+        poly = (-poly if poly.is_negative() else poly).inv()
+    return poly * Q ** k
+
+
+class TestLaurentTimesGeneral:
+    """A product skips the cross-reduction of a numerator and a denominator
+    when either is (1,); the other pair is still reduced."""
+
+    @given(unit_sided(), qrats(allow_zero=False))
+    def test_matches_cross_reduced_product(self, unit, general):
+        assert (1,) in (unit._n, unit._d)
+        expected = _cross_reduced_product(unit, general)
+        assert unit * general == expected
+        assert general * unit == expected
+
+    def test_numerator_cancels_against_general_denominator(self):
+        # (1 - q^2)/q^2 * 1/(1 - q) = (1 + q)/q^2
+        laurent, general = R([1, 0, -1]) * Q ** -2, R([1], [1, -1])
+        assert laurent * general == general * laurent == R([1, 1]) * Q ** -2
+        assert (laurent * general)._d == (1,)
 
 
 @given(qrats(), qrats(allow_zero=False))

@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import pytest
 
@@ -12,6 +13,7 @@ from qabel.registry import (
     get_identity,
     identity_ids,
     verify,
+    worker_count,
 )
 
 
@@ -106,6 +108,24 @@ class TestVerify:
         results = verify(["2.2", "1.3"], max_n=3, order=4)
         keys = [(r.identity_id, tuple(sorted(r.params.items()))) for r in results]
         assert keys == sorted(keys)
+
+
+class TestWorkerCount:
+    """The helper starts nothing, so extreme job counts are safe to ask."""
+
+    def test_capped_by_groups_and_cpus(self):
+        groups = len(identity_ids())
+        assert 1 <= worker_count(10**6, groups) <= min(groups, os.cpu_count())
+        assert worker_count(10**6, 3) <= 3
+
+    def test_one_job_or_one_group_runs_here(self):
+        assert worker_count(1, 40) == 1
+        assert worker_count(10**6, 1) == 1
+        assert worker_count(10**6, 0) == 1
+
+    def test_no_fork_means_one_worker(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert worker_count(10**6, 40) == 1
 
 
 class TestMutationSensitivity:

@@ -27,7 +27,9 @@ built-in at 12 terms, `E_xz` at 14, and the series identities 1.5, 4.8,
 4.13 and 3.3-vs-3.5 at `--max-n 9 --order 11`.  Last comes the error
 corpus: usage errors, parse errors, every message of an invalid function
 index, evaluation errors, and inputs past the interpreter's depth limit,
-each of which must exit 2 with its own `error: ...` line.
+each of which must exit 2 with its own `error: ...` line.  The three
+`verify --json` commands come once more at the end with `--jobs 2`, run on
+worker processes; each must print the same bytes as its in-process twin.
 """
 from __future__ import annotations
 
@@ -82,6 +84,7 @@ def commands() -> list[list[str]]:
     cmds += [["lagrange", "--mode", m, "--f", "E_xz", "--terms", "14"] for m in MODES]
     cmds += [list(c) for c in USAGE_ERRORS] + [["expand", e] for e in PARSE_ERRORS + INDEX_ERRORS]
     cmds += [list(c) for c in EVAL_ERRORS]
+    cmds += [c + ["--jobs", "2"] for c in cmds if c[:2] == ["verify", "--json"]]
     return cmds
 
 
