@@ -27,8 +27,8 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Union
 
-from .qfield import (ONE as QR_ONE, QRat, Scalar, ZERO as QR_ZERO, _laurent_pack, _laurent_unpack, _laurent_word,
-                     _power, _render_terms)
+from .qfield import (ONE as QR_ONE, QRat, Scalar, ZERO as QR_ZERO, _join_terms, _laurent_pack, _laurent_unpack,
+                     _laurent_word, _power)
 
 CoeffLike = Union[QRat, int, Fraction]
 
@@ -304,19 +304,19 @@ class MPoly:
         return hash(frozenset(self._t.items()))
 
     def __str__(self) -> str:
-        pairs = []
+        parts = []
         for k, c in self._sorted_items():
             mono = str(Monomial(k))
-            neg = c.is_negative()
-            mag = -c if neg else c
+            sign = "+ "
+            if c.is_negative():
+                sign, c = "- ", -c
             if not mono:
-                body = _wrap_coeff(str(mag))
-            elif mag.is_one():
-                body = mono
+                parts.append(sign + _wrap_coeff(str(c)))
+            elif c.is_one():
+                parts.append(sign + mono)
             else:
-                body = f"{_wrap_coeff(str(mag))}*{mono}"
-            pairs.append((neg, body))
-        return _render_terms(pairs)
+                parts.append(f"{sign}{_wrap_coeff(str(c))}*{mono}")
+        return _join_terms(parts)
 
     def __repr__(self) -> str:
         return f"MPoly({self})"

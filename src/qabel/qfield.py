@@ -13,7 +13,7 @@ product, and add by shifting the numerator with the larger v and taking
 off the power of q that cancelled; neither takes a gcd.  Any other value
 is reduced by one gcd in Z[q], `_pgcd`: the gcd of the integer contents
 times the gcd of the primitive parts.  The heuristic gcd GCDHEU finds the
-latter at q = 2**W, in the Kronecker chunks of `_pmul`: the candidate and
+latter at q = 2**W, in the Kronecker chunks of `_kmul`: the candidate and
 the cofactors are the balanced base-2**W digits of the integer gcd of the
 packed values and of the exact quotients by it, and each cofactor is
 proven by a norm bound or by multiplying back; the primitive PRS is the
@@ -31,8 +31,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd as _int_gcd, lcm as _lcm
-from operator import add as _add
+from operator import add as _add, neg as _neg, sub as _sub
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -93,8 +94,50 @@ def _pmul(f: IPoly, g: IPoly) -> IPoly:
     A unit operand returns the other one.  Otherwise the lowest power of q
     is split off both operands and put back on the product.  If one of
     them is then a constant c, the product is the other one scaled by c.
-    If the shorter one has fewer than _KRONECKER_MIN terms the product is
-    the schoolbook sum; otherwise it is one big-integer product by
+    If one of them is c * [m], m equal coefficients c as in the q-integer
+    [m] = 1 + q + ... + q**(m - 1), coefficient k of the product is the
+    window sum c * (S[k] - S[k - m]) over the prefix sums S of the other
+    one (S[k] = S[-1] past its end, 0 below its start), formed by
+    `accumulate` and `map` in C; c < 0 swaps the two sides of the
+    difference.  If the shorter operand has fewer than _KRONECKER_MIN
+    terms the product is the schoolbook sum; otherwise it is one
+    big-integer product by Kronecker substitution, `_kmul`.
+    """
+    if not f or not g:
+        return ()
+    if f == (1,):
+        return g
+    if g == (1,):
+        return f
+    vf = vg = 0
+    if not (f[0] and g[0]):
+        vf, vg = _valuation(f), _valuation(g)
+        f, g = f[vf:], g[vg:]
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) == 1:
+        return _pshift(_pscale(g, f[0]), vf + vg)
+    if g.count(g[0]) == len(g):
+        f, g = g, f
+    if f.count(f[0]) == len(f):
+        c, m = f[0], len(f)
+        s = list(accumulate(_pscale(g, abs(c))))
+        hi, lo = s + [s[-1]] * (m - 1), [0] * m + s[:-1]
+        out = [0] * (vf + vg)
+        out += map(_sub, lo, hi) if c < 0 else map(_sub, hi, lo)
+        return tuple(out)
+    if len(f) < _KRONECKER_MIN:
+        out = [0] * (vf + vg + len(f) + len(g) - 1)
+        for i, a in enumerate(f, vf + vg):
+            if a:
+                for j, b in enumerate(g, i):
+                    out[j] += a * b
+        return _trim(out)
+    return _pshift(_kmul(f, g), vf + vg)
+
+
+def _kmul(f: IPoly, g: IPoly) -> IPoly:
+    """Product of two nonzero integer polynomials, f the shorter, by
     Kronecker substitution: each operand is packed as its value at
     q = 2**W, and the product's coefficients are read back from the W-bit
     chunks of F(2**W) * G(2**W).
@@ -114,35 +157,14 @@ def _pmul(f: IPoly, g: IPoly) -> IPoly:
     becomes the W-bit two's complement of its coefficient, read back by
     `array` for a machine word or one chunk at a time beyond it.
     """
-    if not f or not g:
-        return ()
-    if f == (1,):
-        return g
-    if g == (1,):
-        return f
-    vf = vg = 0
-    if not (f[0] and g[0]):
-        vf, vg = _valuation(f), _valuation(g)
-        f, g = f[vf:], g[vg:]
-    if len(f) > len(g):
-        f, g = g, f
-    if len(f) == 1:
-        return _pshift(_pscale(g, f[0]), vf + vg)
-    if len(f) < _KRONECKER_MIN:
-        out = [0] * (vf + vg + len(f) + len(g) - 1)
-        for i, a in enumerate(f, vf + vg):
-            if a:
-                for j, b in enumerate(g, i):
-                    out[j] += a * b
-        return _trim(out)
     lo_f, hi_f, lo_g, hi_g = min(f), max(f), min(g), max(g)
     w = max(hi_f, -lo_f).bit_length() + max(hi_g, -lo_g).bit_length() + len(f).bit_length() + 1
     nb = (w + 7) // 8
     nb, code = _WORDS.get(nb, (nb, ""))
     n = len(f) + len(g) - 1
     ones = _ones(nb, n)
-    out = _kread(_kpack(f, nb, code, ones, lo_f < 0) * _kpack(g, nb, code, ones, lo_g < 0), n, nb, code, ones)
-    return _pshift(_trim(out), vf + vg)
+    packed = _kpack(f, nb, code, ones, lo_f < 0) * _kpack(g, nb, code, ones, lo_g < 0)
+    return _trim(_kread(packed, n, nb, code, ones))
 
 
 def _ones(nb: int, n: int) -> int:
@@ -153,7 +175,7 @@ def _ones(nb: int, n: int) -> int:
 def _kread(packed: int, n: int, nb: int, code: str, ones: int) -> list:
     """The n coefficients, low first, of the polynomial whose value at
     q = 2**(8 * nb) is packed, each below 2**(8 * nb - 1) in magnitude: the
-    offset and XOR decode described in `_pmul`.  ones is `_ones(nb, n)`."""
+    offset and XOR decode described in `_kmul`.  ones is `_ones(nb, n)`."""
     offsets = ones << (8 * nb - 1)
     buf = ((packed + offsets) ^ offsets).to_bytes(n * nb, _ORDER)
     if code:
@@ -209,7 +231,9 @@ def _kdigits(packed: int, nb: int, code: str) -> IPoly:
 
 def _pscale(f: IPoly, k: int) -> IPoly:
     """f times the integer k; k must be nonzero, or the result is untrimmed."""
-    return f if k == 1 else tuple([c * k for c in f])
+    if k == 1:
+        return f
+    return tuple(list(map(_neg, f))) if k == -1 else tuple([c * k for c in f])
 
 
 def _pshift(f: IPoly, k: int) -> IPoly:
@@ -397,34 +421,32 @@ def _power(base, n: int, one):
     return acc
 
 
-def _render_terms(pairs) -> str:
-    """Join (negative, body) pairs into a canonical sum string."""
-    parts: list[str] = []
-    for neg, body in pairs:
-        if not parts:
-            parts.append(("-" + body) if neg else body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+def _join_terms(parts: list) -> str:
+    """Join signed terms "+ body" and "- body", highest first, into a
+    canonical sum: the first term keeps "-" and drops "+"; no term is "0"."""
+    if not parts:
+        return "0"
+    s = " ".join(parts)
+    return s[2:] if s[0] == "+" else "-" + s[2:]
 
 
 def render_poly(coeffs: Sequence[Scalar]) -> str:
     """Canonical text of a polynomial in q, highest power first; the
     coefficients may be ints or Fractions."""
-    pairs = []
+    parts = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
-        if c == 0:
+        if not c:
             continue
-        neg = c < 0
-        mag = -c if neg else c
-        if i == 0:
-            body = str(mag)
+        sign = "+ "
+        if c < 0:
+            sign, c = "- ", -c
+        if not i:
+            parts.append(f"{sign}{c}")
         else:
-            var = "q" if i == 1 else f"q^{i}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        pairs.append((neg, body))
-    return _render_terms(pairs)
+            var = f"q^{i}" if i > 1 else "q"
+            parts.append(sign + var if c == 1 else f"{sign}{c}*{var}")
+    return _join_terms(parts)
 
 
 @dataclass(frozen=True)
@@ -707,7 +729,7 @@ Q = QRat._make(1, (1,), (1,))
 # --------------------------------------------------------------------------
 # Laurent values packed as integers, for sums of many products (mpoly.dot).
 # A Laurent value q**v * n is packed as (v, N) with N = n(2**W), in the W-bit
-# chunks of `_pmul`: a product of two packed values is (v1 + v2, N1 * N2),
+# chunks of `_kmul`: a product of two packed values is (v1 + v2, N1 * N2),
 # and a sum shifts the N with the larger v up by W bits per power of q and
 # adds.  W is a machine word wide enough for every coefficient of the sum.
 # --------------------------------------------------------------------------

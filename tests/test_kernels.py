@@ -1,10 +1,12 @@
 """Oracles for the integer-polynomial kernels of `qfield`.
 
 `_pmul` is compared with a schoolbook product on operands that carry powers
-of q, on monomials c * q**k, and at chunk widths from one byte to nine: past
-eight, the machine-word chunks packed by `array` give way to the byte-loop
-fallback, which also runs on small operands with the word sizes switched
-off.  `_divexact` undoes it, and
+of q, on monomials c * q**k, on multiples c * q**k * [m] of q-integers,
+which take the window sum and pack nothing, and on q-factorials.  The
+Kronecker branch, `_kmul`, is run at chunk widths from one byte to nine:
+past eight, the machine-word chunks packed by `array` give way to the
+byte-loop fallback, which also runs on small operands with the word sizes
+switched off.  `_divexact` undoes it, and
 `_prem` agrees with a pseudo-remainder loop up to content.  `_pgcd` returns
 the gcd in Z[q] and the two cofactors.  Its gcd, from the heuristic gcd and,
 with the heuristic switched off, from the PRS fallback, is compared with the
@@ -20,7 +22,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qabel import qfield
-from qabel.qfield import _KRONECKER_MIN, QRat, _divexact, _pgcd, _pmul, _prem, _primitive
+from qabel.qcomb import qfac
+from qabel.qfield import _KRONECKER_MIN, QRat, _divexact, _kmul, _pgcd, _pmul, _prem, _primitive
 
 
 def schoolbook(f, g):
@@ -125,6 +128,19 @@ class TestPmul:
         m = (0,) * k + (c,)
         assert _pmul(m, f) == schoolbook(m, f) == _pmul(f, m)
 
+    @given(st.integers(2, 3 * _KRONECKER_MIN), st.integers(0, 3),
+           st.sampled_from([1, -1, 3, -(2**64 + 1), 2**200 + 7]), ipolys())
+    def test_q_integer_operand(self, m, k, c, f):
+        # c * q**k * [m] on either side of operands with inner zeros, their
+        # own power of q and coefficients past 2**64: the window sum, which
+        # packs nothing, even where both operands pass _KRONECKER_MIN.
+        w = (0,) * k + (c,) * m
+        packed = []
+        with pytest.MonkeyPatch.context() as mp:
+            _recording(mp, "_kpack", packed)
+            assert _pmul(w, f) == schoolbook(w, f) == _pmul(f, w)
+        assert not packed
+
     @given(st.integers(0, 40), ipolys())
     def test_q_power_shifts(self, k, f):
         assume(f)
@@ -143,14 +159,16 @@ class TestPmul:
         # 2k + j a multiple of 8, the bound leaves no slack to the byte.
         # The widths 2k + j + 1 to 2k + j + 3 run from 7 bits past 72, so
         # they cross the 8-, 16-, 32- and 64-bit words and reach the first
-        # byte-loop width, 9 bytes.
+        # byte-loop width, 9 bytes.  Such operands are multiples of [n],
+        # which `_pmul` sums by window, so the Kronecker branch is called
+        # itself.
         for n in sorted({_KRONECKER_MIN, _KRONECKER_MIN + 1, 15, 16, 63, 64}):
             for k in list(range(1, 37)) + [63, 64, 200]:
                 edge = (2**k - 1, -(2**k - 1), -(2**k))
                 for a in edge:
                     for b in edge:
                         f, g = (a,) * n, (b,) * n
-                        assert _pmul(f, g) == schoolbook(f, g), (n, k, a, b)
+                        assert _kmul(f, g) == schoolbook(f, g), (n, k, a, b)
 
     def test_alternating_signs(self):
         # Borrows on every other chunk of both operands.
@@ -385,7 +403,17 @@ class TestPgcdFallback:
 
 class TestClosedForms:
     """Numerators of powers against binomial coefficients: the squarings of
-    `QRat.__pow__` run far above the schoolbook threshold."""
+    `QRat.__pow__` run far above the schoolbook threshold.  The q-factorials
+    against schoolbook products of q-integers: each step [k - 1]! * [k] is
+    a window sum."""
+
+    def test_q_factorial(self):
+        num = (1,)
+        for k in range(1, 31):
+            num = schoolbook(num, qint_poly(k))
+            r = qfac(k)
+            assert r.den.coeffs == (1,)
+            assert r.num.coeffs == num, k
 
     def test_one_plus_q(self):
         r = QRat((1, 1)) ** 200

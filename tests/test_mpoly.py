@@ -210,6 +210,17 @@ class TestRendering:
     def test_constant_fraction(self):
         assert str(MPoly.const(QRat([1], [0, 1]))) == "1/q"
 
+    @pytest.mark.parametrize("p, text", [
+        (-(X ** 2) + X, "-x^2 + x"),
+        (X.scale(QRat([-2])) - Y, "-2*x - y"),
+        (X.scale(QRat([1, -1])) + Y, "-(q - 1)*x + y"),
+        (X.scale(QRat([-1], [1, 1])) - 1, "-1/(q + 1)*x - 1"),
+        (MPoly.const(QRat([-3])), "-3"),
+        (MPoly.const(QRat([1, -1])), "-(q - 1)"),
+    ])
+    def test_first_term_negative(self, p, text):
+        assert str(p) == text
+
     def test_coefficient_wrapped_when_a_sum(self):
         c = QRat([1, -1], [1, 1])
         assert str(X.scale(c) + MPoly.const(QRat([1, 1]))) == "-(q - 1)/(q + 1)*x + (q + 1)"

@@ -15,6 +15,7 @@ from qabel.qfield import (
     qrat_arith,
     qrat_equal,
     qrat_eval,
+    render_poly,
 )
 from qabel.qfield import _pgcd, _pmul
 
@@ -286,32 +287,54 @@ def test_mul_distributes(r, s, t):
     assert r * (s + t) == r * s + r * t
 
 
+def render_poly_reference(coeffs) -> str:
+    """The two-pass rendering of a polynomial in q: (negative, body) pairs,
+    highest power first, then the join with the first sign fixed."""
+    pairs = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        neg = c < 0
+        mag = -c if neg else c
+        if i == 0:
+            body = str(mag)
+        else:
+            var = "q" if i == 1 else f"q^{i}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        pairs.append((neg, body))
+    parts = []
+    for neg, body in pairs:
+        if not parts:
+            parts.append(("-" + body) if neg else body)
+        else:
+            parts.append(("- " if neg else "+ ") + body)
+    return " ".join(parts) if parts else "0"
+
+
+_render_coeff = st.one_of(st.just(0), st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+                          st.integers(-(2**70), 2**70), st.fractions(max_denominator=50))
+
+
+@given(st.lists(_render_coeff, max_size=12))
+def test_render_poly_matches_two_pass(coeffs):
+    assert render_poly(coeffs) == render_poly_reference(coeffs)
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ((), "0"), ((0, 0), "0"), ((5,), "5"), ((-5,), "-5"), ((Fraction(-1, 2),), "-1/2"),
+    ((0, -1), "-q"), ((1, 0, 0, -1), "-q^3 + 1"), ((0, 2, -1), "-q^2 + 2*q"),
+])
+def test_render_poly_fixed(coeffs, text):
+    assert render_poly(coeffs) == render_poly_reference(coeffs) == text
+
+
 def _reference_str(r: QRat) -> str:
     """The rendering through the num/den views, one Fraction per coefficient."""
-
-    def poly(coeffs):
-        parts = []
-        for i in range(len(coeffs) - 1, -1, -1):
-            c = Fraction(coeffs[i])
-            if c == 0:
-                continue
-            neg = c < 0
-            mag = -c if neg else c
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "q" if i == 1 else f"q^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(("-" + body) if neg else body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts) if parts else "0"
-
-    num_s = poly(r.num.coeffs)
+    num_s = render_poly_reference(r.num.coeffs)
     if r.den.coeffs == (Fraction(1),):
         return num_s
-    den_s = poly(r.den.coeffs)
+    den_s = render_poly_reference(r.den.coeffs)
     if " " in num_s:
         num_s = f"({num_s})"
     if " " in den_s:

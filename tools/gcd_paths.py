@@ -4,7 +4,8 @@
 
 Runs each benchmark workload's commands (`perfbench/workloads.py`) through
 `cli.run_command` in a fresh interpreter, so the caches start cold as in
-the benchmark, with `_pgcd` wrapped by a counter.  Each call falls in one
+the benchmark, and with `--jobs 1`, so every check runs in the counting
+process (`workload_rows.py`), with `_pgcd` wrapped by a counter.  Each call falls in one
 of these paths, in the order `_pgcd` tries them:
 
     unit        an operand is (1,)
@@ -25,18 +26,13 @@ is modified.  Prints one row per workload.
 """
 from __future__ import annotations
 
-import argparse
-import os
-import subprocess
 import sys
 from collections import Counter
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+from workload_rows import main  # puts src/ and perfbench/ on sys.path
 
-from qabel import qfield  # noqa: E402
-from qabel.cli import run_command  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from qabel import qfield
+from qabel.cli import run_command
 
 PATHS = ("unit", "constant", "equal", "trivial", "bound", "multiply", "prs")
 
@@ -90,32 +86,19 @@ def count_paths(argvs) -> Counter:
         setattr(qfield, name, fn)
     try:
         for argv in argvs:
-            run_command(list(argv))
+            run_command(argv)
     finally:
         for name, fn in real.items():
             setattr(qfield, name, fn)
     return counts
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
-    ap.add_argument("--seed", type=int, default=13)
-    ap.add_argument("--one", choices=sorted(WORKLOADS), help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.one:
-        counts = count_paths(cmd.argv for cmd in WORKLOADS[args.one].commands(args.seed))
-        total = sum(counts[p] for p in PATHS)
-        cells = [f"{counts[p]:,}" for p in PATHS] + [f"{total:,}", f"{counts['retried']:,}",
-                                                      f"{counts['h = 1'] / max(total, 1):.3f}"]
-        print(f"| {args.one} | " + " | ".join(cells) + " |")
-        return 0
-    print("| workload | " + " | ".join(PATHS) + " | total | retried | h = 1 |")
-    print("|---" * (len(PATHS) + 4) + "|", flush=True)
-    for name in args.workload or list(WORKLOADS):
-        subprocess.run([sys.executable, __file__, "--one", name, "--seed", str(args.seed)], check=True)
-    return 0
+def row(argvs) -> list[str]:
+    counts = count_paths(argvs)
+    total = sum(counts[p] for p in PATHS)
+    return [f"{counts[p]:,}" for p in PATHS] + [f"{total:,}", f"{counts['retried']:,}",
+                                                f"{counts['h = 1'] / max(total, 1):.3f}"]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__file__, __doc__, PATHS + ("total", "retried", "h = 1"), row))

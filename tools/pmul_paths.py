@@ -4,12 +4,14 @@
 
 Runs each benchmark workload's commands (`perfbench/workloads.py`) through
 `cli.run_command` in a fresh interpreter, so the caches start cold as in
-the benchmark, with `_pmul` wrapped by a counter that applies `_pmul`'s own
-tests in the same order to each call's operands:
+the benchmark, and with `--jobs 1`, so every check runs in the counting
+process (`workload_rows.py`).  `_pmul` is wrapped by a counter that applies
+`_pmul`'s own tests in the same order to each call's operands:
 
     zero        an operand is ()
     unit        an operand is (1,)
     monomial    one operand is c * q**k
+    window      one operand is c * q**k * [m], m equal coefficients
     schoolbook  the shorter operand, q-power split off, is below _KRONECKER_MIN
     word        Kronecker with machine-word chunks, packed by `array`
     bytes       Kronecker with wider chunks, packed one coefficient at a time
@@ -19,20 +21,15 @@ The wrapper calls the real `_pmul`, so outputs are unchanged; nothing under
 """
 from __future__ import annotations
 
-import argparse
-import os
-import subprocess
 import sys
 from collections import Counter
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+from workload_rows import main  # puts src/ and perfbench/ on sys.path
 
-from qabel import qfield  # noqa: E402
-from qabel.cli import run_command  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from qabel import qfield
+from qabel.cli import run_command
 
-PATHS = ("zero", "unit", "monomial", "schoolbook", "word", "bytes")
+PATHS = ("zero", "unit", "monomial", "window", "schoolbook", "word", "bytes")
 
 
 def path_of(f, g) -> str:
@@ -43,6 +40,8 @@ def path_of(f, g) -> str:
     f, g = sorted((f[qfield._valuation(f):], g[qfield._valuation(g):]), key=len)
     if len(f) == 1:
         return "monomial"
+    if f.count(f[0]) == len(f) or g.count(g[0]) == len(g):
+        return "window"
     if len(f) < qfield._KRONECKER_MIN:
         return "schoolbook"
     w = max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length() + len(f).bit_length() + 1
@@ -60,29 +59,16 @@ def count_paths(argvs) -> Counter:
     qfield._pmul = counting
     try:
         for argv in argvs:
-            run_command(list(argv))
+            run_command(argv)
     finally:
         qfield._pmul = pmul
     return counts
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
-    ap.add_argument("--seed", type=int, default=13)
-    ap.add_argument("--one", choices=sorted(WORKLOADS), help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.one:
-        counts = count_paths(cmd.argv for cmd in WORKLOADS[args.one].commands(args.seed))
-        cells = [f"{counts[p]:,}" for p in PATHS] + [f"{sum(counts.values()):,}"]
-        print(f"| {args.one} | " + " | ".join(cells) + " |")
-        return 0
-    print("| workload | " + " | ".join(PATHS) + " | total |")
-    print("|---" * (len(PATHS) + 2) + "|", flush=True)
-    for name in args.workload or list(WORKLOADS):
-        subprocess.run([sys.executable, __file__, "--one", name, "--seed", str(args.seed)], check=True)
-    return 0
+def row(argvs) -> list[str]:
+    counts = count_paths(argvs)
+    return [f"{counts[p]:,}" for p in PATHS] + [f"{sum(counts.values()):,}"]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__file__, __doc__, PATHS + ("total",), row))

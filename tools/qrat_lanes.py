@@ -5,9 +5,10 @@ of products that `mpoly.dot` forms on packed integers, per workload.
 
 Runs each benchmark workload's commands (`perfbench/workloads.py`) through
 `cli.run_command` in a fresh interpreter, so the caches start cold as in
-the benchmark, with `QRat.__mul__`/`__rmul__` and `__add__`/`__radd__`
-wrapped by a counter that sorts each call by its operands, after the
-same coercion the operator applies:
+the benchmark, and with `--jobs 1`, so every check runs in the counting
+process (`workload_rows.py`), with `QRat.__mul__`/`__rmul__` and
+`__add__`/`__radd__` wrapped by a counter that sorts each call by its
+operands, after the same coercion the operator applies:
 
     zero      an operand is zero, and the other one (or zero) is returned
     laurent   both stored denominators are (1,): values q**v * n, no gcd
@@ -30,18 +31,13 @@ under `src/` or `perfbench/` is modified.  Prints one row per workload.
 """
 from __future__ import annotations
 
-import argparse
-import os
-import subprocess
 import sys
 from collections import Counter
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+from workload_rows import main  # puts src/ and perfbench/ on sys.path
 
-from qabel import mpoly, qfield  # noqa: E402
-from qabel.cli import run_command  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from qabel import mpoly, qfield
+from qabel.cli import run_command
 
 LANES = ("zero", "laurent", "general")
 COLUMNS = [(op, lane) for op in ("mul", "add") for lane in LANES]
@@ -88,7 +84,7 @@ def count_lanes(argvs) -> Counter:
     mpoly._packed_dot = counting_dot
     try:
         for argv in argvs:
-            run_command(list(argv))
+            run_command(argv)
     finally:
         for name, fn in saved.items():
             setattr(cls, name, fn)
@@ -96,23 +92,10 @@ def count_lanes(argvs) -> Counter:
     return counts
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
-    ap.add_argument("--seed", type=int, default=13)
-    ap.add_argument("--one", choices=sorted(WORKLOADS), help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.one:
-        counts = count_lanes(cmd.argv for cmd in WORKLOADS[args.one].commands(args.seed))
-        cells = [f"{counts[c]:,}" for c in COLUMNS]
-        print(f"| {args.one} | " + " | ".join(cells) + " |")
-        return 0
-    print("| workload | " + " | ".join(f"{op} {lane}" for op, lane in COLUMNS) + " |")
-    print("|---" * (len(COLUMNS) + 1) + "|", flush=True)
-    for name in args.workload or list(WORKLOADS):
-        subprocess.run([sys.executable, __file__, "--one", name, "--seed", str(args.seed)], check=True)
-    return 0
+def row(argvs) -> list[str]:
+    counts = count_lanes(argvs)
+    return [f"{counts[c]:,}" for c in COLUMNS]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__file__, __doc__, [f"{op} {lane}" for op, lane in COLUMNS], row))
