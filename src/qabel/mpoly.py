@@ -11,13 +11,14 @@ nonzero coefficient.  The sum of products `dot` forms its products term by
 term (Monagan & Pearce, "Sparse polynomial multiplication and division in
 Maple 14", 2009).  With two or more nonzero pairs whose coefficients are all
 Laurent polynomials q**v * n, it packs each coefficient once as an integer
-pair (v, N), N = n(2**W) in the chunks of `qfield._pmul`'s Kronecker
-substitution, and forms every term-pair product and sum on those integers.
-W is the smallest machine word that holds every coefficient of every
-partial sum (`qfield._laurent_word`); when some coefficient is not Laurent,
-or no word is wide enough, the sum is formed on QRat values instead.  A
-single product always is: packing its coefficients costs as much as the
-few products it would serve.
+pair (v, N), N = n(2**W) in the Kronecker chunks that `qfield` also uses
+for its products and gcds, and forms every term-pair product and sum on
+those integers.  W is the smallest machine word that holds every
+coefficient of every partial sum (`qfield._laurent_word`), and the chunks
+are reached only through `qfield._laurent_pack` and `_laurent_unpack`.
+When some coefficient is not Laurent, or no word is wide enough, the sum
+is formed on QRat values instead.  A single product always is: packing its
+coefficients costs as much as the few products it would serve.
 """
 from __future__ import annotations
 
@@ -368,14 +369,13 @@ def _packed_dot(tables: list[tuple[dict, dict]]) -> dict | None:
     """
     lefts = {id(u): u for u, _ in tables}
     rights = {id(v): v for _, v in tables}
-    word = _laurent_word((c for t in lefts.values() for c in t.values()),
-                         (c for t in rights.values() for c in t.values()),
-                         sum(len(u) * len(v) for u, v in tables))
-    if word is None:
+    nb = _laurent_word((c for t in lefts.values() for c in t.values()),
+                       (c for t in rights.values() for c in t.values()),
+                       sum(len(u) * len(v) for u, v in tables))
+    if nb is None:
         return None
-    nb, code = word
     w = 8 * nb
-    packed = {i: _laurent_pack(t.items(), nb, code) for i, t in {**lefts, **rights}.items()}
+    packed = {i: _laurent_pack(t.items(), nb) for i, t in {**lefts, **rights}.items()}
     acc: dict[tuple, tuple[int, int]] = {}
     for tu, tv in tables:
         pv = packed[id(tv)]
@@ -392,7 +392,7 @@ def _packed_dot(tables: list[tuple[dict, dict]]) -> dict | None:
                     acc[k] = s[0], s[1] + (nu * nv << w * (v - s[0]))
                 else:
                     acc[k] = v, (s[1] << w * (s[0] - v)) + nu * nv
-    return _laurent_unpack(acc.items(), nb, code)
+    return _laurent_unpack(acc.items(), nb)
 
 
 def dot(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:

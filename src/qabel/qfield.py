@@ -13,11 +13,13 @@ product, and add by shifting the numerator with the larger v and taking
 off the power of q that cancelled; neither takes a gcd.  Any other value
 is reduced by one gcd in Z[q], `_pgcd`: the gcd of the integer contents
 times the gcd of the primitive parts.  The heuristic gcd GCDHEU finds the
-latter at q = 2**W, in the Kronecker chunks of `_kmul`: the candidate and
-the cofactors are the balanced base-2**W digits of the integer gcd of the
-packed values and of the exact quotients by it, and each cofactor is
-proven by a norm bound or by multiplying back; the primitive PRS is the
-fallback.  `_pgcd` returns the two cofactors too, so a reduction divides
+latter at q = 2**W: the candidate and the cofactors are the balanced
+base-2**W digits of the integer gcd of the packed values and of the exact
+quotients by it, and each cofactor is proven by a norm bound or by
+multiplying back; the primitive PRS is the fallback.  GCDHEU, the
+Kronecker product `_kmul` and the packed sums of `mpoly.dot` share one
+chunk codec: `_chunk_bytes` turns a bit width into W, `_kpack` packs
+n(2**W) and `_kdigits` reads the balanced digits back.  `_pgcd` returns the two cofactors too, so a reduction divides
 nothing further.  The views and the text multiply the power of q back into the
 pair and show the denominator as a primitive integer polynomial, with its
 content divided into the numerator's coefficients; the rendering of a
@@ -79,12 +81,11 @@ def _padd(f: IPoly, g: IPoly) -> IPoly:
 # Below this length of the shorter operand, _pmul multiplies schoolbook.
 _KRONECKER_MIN = 8
 
-# The word sizes of the Kronecker chunks that `array` packs and unpacks in
-# C: _WORDS[nb] is the (size, signed typecode) of the smallest machine word
-# of at least nb bytes.  Typecodes are chosen by their item size, which the
-# C compiler sets, not by name.
+# The machine words of the Kronecker chunks, which `array` packs and unpacks
+# in C: _CODES maps each word's byte size to its signed typecode.  Typecodes
+# are chosen by their item size, which the C compiler sets, not by name; the
+# C sizes of "bhilq" never decrease, so the sizes come in ascending order.
 _CODES = {array(c).itemsize: c for c in "bhilq"}
-_WORDS = {nb: min((s, c) for s, c in _CODES.items() if s >= nb) for nb in range(1, max(_CODES) + 1)}
 _ORDER = sys.byteorder
 
 
@@ -145,26 +146,32 @@ def _kmul(f: IPoly, g: IPoly) -> IPoly:
     The width w is bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 1.
     Each product coefficient is a sum of at most min(len f, len g) products
     of one coefficient of each operand, so its magnitude is below 2**(w - 1).
-    The chunk width W is w rounded up to whole bytes, and further to the
-    next machine word (1, 2, 4 or 8 bytes) when there is one; W >= w keeps
-    every coefficient below 2**(W - 1), and every operand coefficient too.
-    An operand is packed as the W-bit two's complements of its
-    coefficients, each negative one having borrowed 2**W from the chunk
-    above.  Adding 2**(W - 1) to every chunk of the product gives digits
-    c + 2**(W - 1) in (0, 2**W), so the sum is their base-2**W expansion
-    with no carry between chunks.  XOR with the same offsets flips bit
-    W - 1 of each digit, which subtracts 2**(W - 1) modulo 2**W: each chunk
-    becomes the W-bit two's complement of its coefficient, read back by
-    `array` for a machine word or one chunk at a time beyond it.
+    The chunk width W is w rounded up by `_chunk_bytes` to whole bytes, and
+    further to the next machine word (1, 2, 4 or 8 bytes) when there is
+    one; W >= w keeps every coefficient below 2**(W - 1), and every operand
+    coefficient too.  An operand is packed by `_kpack` as the W-bit two's
+    complements of its coefficients, each negative one having borrowed 2**W
+    from the chunk above.  `_kdigits` reads the product back: adding
+    2**(W - 1) to every chunk gives digits c + 2**(W - 1) in (0, 2**W), so
+    the sum is their base-2**W expansion with no carry between chunks.  XOR
+    with the same offsets flips bit W - 1 of each digit, which subtracts
+    2**(W - 1) modulo 2**W: each chunk becomes the W-bit two's complement
+    of its coefficient.
     """
-    lo_f, hi_f, lo_g, hi_g = min(f), max(f), min(g), max(g)
-    w = max(hi_f, -lo_f).bit_length() + max(hi_g, -lo_g).bit_length() + len(f).bit_length() + 1
-    nb = (w + 7) // 8
-    nb, code = _WORDS.get(nb, (nb, ""))
-    n = len(f) + len(g) - 1
-    ones = _ones(nb, n)
-    packed = _kpack(f, nb, code, ones, lo_f < 0) * _kpack(g, nb, code, ones, lo_g < 0)
-    return _trim(_kread(packed, n, nb, code, ones))
+    w = max(max(f), -min(f)).bit_length() + max(max(g), -min(g)).bit_length() + len(f).bit_length() + 1
+    nb = _chunk_bytes(w)
+    return _kdigits(_kpack(f, nb) * _kpack(g, nb), nb)
+
+
+def _chunk_bytes(bits: int) -> int:
+    """The byte size of a Kronecker chunk of at least `bits` bits: whole
+    bytes, rounded up to the smallest machine word of `_CODES` when one is
+    wide enough."""
+    nb = (bits + 7) // 8
+    for size in _CODES:
+        if size >= nb:
+            return size
+    return nb
 
 
 def _ones(nb: int, n: int) -> int:
@@ -172,52 +179,44 @@ def _ones(nb: int, n: int) -> int:
     return int.from_bytes((b"\1" + bytes(nb - 1)) * n, "little")
 
 
-def _kread(packed: int, n: int, nb: int, code: str, ones: int) -> list:
-    """The n coefficients, low first, of the polynomial whose value at
-    q = 2**(8 * nb) is packed, each below 2**(8 * nb - 1) in magnitude: the
-    offset and XOR decode described in `_kmul`.  ones is `_ones(nb, n)`."""
-    offsets = ones << (8 * nb - 1)
-    buf = ((packed + offsets) ^ offsets).to_bytes(n * nb, _ORDER)
-    if code:
-        return array(code, buf).tolist()
-    return [int.from_bytes(buf[i:i + nb], _ORDER, signed=True) for i in range(0, n * nb, nb)]
-
-
-def _kpack(f: IPoly, nb: int, code: str, ones: int, signed: bool) -> int:
-    """f at q = 2**(8 * nb), each coefficient fitting nb signed bytes: the
-    chunks are packed by `array` when code is the typecode of an nb-byte
-    word, else one coefficient at a time.  ones has a 1 in each chunk."""
+def _kpack(f: IPoly, nb: int) -> int:
+    """f at q = 2**W, W = 8 * nb, each coefficient fitting nb signed bytes.
+    Below _KRONECKER_MIN coefficients it is summed by shifts, which cost
+    less than setting up the chunks; otherwise the W-bit two's complements
+    of the coefficients are packed by `array` when nb is a machine word,
+    else one chunk at a time."""
+    w = 8 * nb
+    if len(f) < _KRONECKER_MIN:
+        packed = 0
+        for c in reversed(f):
+            packed = (packed << w) + c
+        return packed
+    code = _CODES.get(nb)
     raw = array(code, f).tobytes() if code else b"".join([c.to_bytes(nb, _ORDER, signed=True) for c in f])
     packed = int.from_bytes(raw, _ORDER)
-    if signed:
+    if min(f) < 0:
         # A negative chunk reads as c + 2**W: take the 2**W borrow back
         # from the next chunk up, one for each chunk whose top bit is set.
-        packed -= ((packed >> (8 * nb - 1)) & ones) << (8 * nb)
+        packed -= ((packed >> (w - 1)) & _ones(nb, len(f))) << w
     return packed
 
 
-def _kval(f: IPoly, nb: int, code: str) -> int:
-    """f at q = 2**(8 * nb), each coefficient fitting nb signed bytes: by
-    shifts below _KRONECKER_MIN coefficients, where that costs less than
-    setting up `array`, else by `_kpack`."""
-    if len(f) >= _KRONECKER_MIN:
-        return _kpack(f, nb, code, _ones(nb, len(f)), min(f) < 0)
-    w = 8 * nb
-    packed = 0
-    for c in reversed(f):
-        packed = (packed << w) + c
-    return packed
-
-
-def _kdigits(packed: int, nb: int, code: str) -> IPoly:
+def _kdigits(packed: int, nb: int) -> IPoly:
     """The polynomial whose value at q = 2**W, W = 8 * nb, is packed and whose
     coefficients lie in [-2**(W - 1), 2**(W - 1)): the balanced base-2**W
     digits of packed, low first, trimmed.  Up to _KRONECKER_MIN chunks they
-    are taken off by shifts, else read back by `_kread`."""
+    are taken off by shifts; beyond, by the offset and XOR decode described
+    in `_kmul`, read back by `array` when nb is a machine word, else one
+    chunk at a time."""
     w = 8 * nb
     n = packed.bit_length() // w + 2  # one chunk more than the bits need: the top digit cannot overflow
     if n > _KRONECKER_MIN:
-        return _trim(_kread(packed, n, nb, code, _ones(nb, n)))
+        offsets = _ones(nb, n) << (w - 1)
+        buf = ((packed + offsets) ^ offsets).to_bytes(n * nb, _ORDER)
+        code = _CODES.get(nb)
+        if code:
+            return _trim(array(code, buf).tolist())
+        return _trim([int.from_bytes(buf[i:i + nb], _ORDER, signed=True) for i in range(0, n * nb, nb)])
     out = []
     mask, top = (1 << w) - 1, 1 << (w - 1)
     while packed:
@@ -339,34 +338,33 @@ def _heu_gcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly] | None:
     the heuristic gcd of Char, Geddes & Gonnet (GCDHEU, J. Symb. Comp. 1989),
     or None when no evaluation point gives it.
 
-    Both are evaluated at xi = 2**W, W whole bytes with 2**W >= 2 * max(|f|,
-    |g|) + 29 (max-norms), so the values F, G are Kronecker packings
-    (`_kval`).  The candidate h is the primitive part of the balanced
-    base-2**W digits of gcd(F, G) (`_kdigits`; those of -gcd(F, G), with the
+    Both are evaluated at xi = 2**W, W the chunk width of `_chunk_bytes` for
+    2**W >= 2 * max(|f|, |g|) + 29 (max-norms), so the values F, G are
+    Kronecker packings (`_kpack`).  The candidate h is the primitive part of
+    the balanced base-2**W digits of gcd(F, G) (`_kdigits`; those of -gcd(F, G), with the
     theorem's rounding, have the same primitive part).  Since
     xi > 2 * min(|f|, |g|) + 1, a candidate that divides both f and g is their
     gcd; `_heu_cofactor` proves each division.  A failed point moves W up by
     about a quarter, as sympy's dup_zz_heu_gcd takes xi to about xi**1.25.
     """
     top = max(max(f), -min(f), max(g), -min(g))
-    nb = ((2 * top + 28).bit_length() + 7) // 8
+    nb = _chunk_bytes((2 * top + 28).bit_length())
     for _ in range(_HEU_TRIES):
-        nb, code = _WORDS.get(nb, (nb, ""))
-        ff, gg = _kval(f, nb, code), _kval(g, nb, code)
+        ff, gg = _kpack(f, nb), _kpack(g, nb)
         gam = _int_gcd(ff, gg)
-        c, h = _primitive(_kdigits(gam, nb, code))
+        c, h = _primitive(_kdigits(gam, nb))
         if h == (1,):
             return h, f, g
         hh = gam // c
-        a = _heu_cofactor(f, ff, h, hh, nb, code)
-        b = a and _heu_cofactor(g, gg, h, hh, nb, code)
+        a = _heu_cofactor(f, ff, h, hh, nb)
+        b = a and _heu_cofactor(g, gg, h, hh, nb)
         if b:
             return h, a, b
-        nb += nb // 4 + 1
+        nb = _chunk_bytes(8 * (nb + nb // 4 + 1))
     return None
 
 
-def _heu_cofactor(f: IPoly, ff: int, h: IPoly, hh: int, nb: int, code: str) -> IPoly | None:
+def _heu_cofactor(f: IPoly, ff: int, h: IPoly, hh: int, nb: int) -> IPoly | None:
     """f/h, proven, for ff = f(2**W) and hh = h(2**W), W = 8 * nb, every
     coefficient of f below 2**(W - 1) in magnitude; None when h does not
     divide f, as when ff // hh leaves a remainder.
@@ -383,7 +381,7 @@ def _heu_cofactor(f: IPoly, ff: int, h: IPoly, hh: int, nb: int, code: str) -> I
     a, r = divmod(ff, hh)
     if r:
         return None
-    a = _kdigits(a, nb, code)
+    a = _kdigits(a, nb)
     bits = max(max(a), -min(a)).bit_length() + max(max(h), -min(h)).bit_length()
     if bits + min(len(a), len(h)).bit_length() < 8 * nb or _pmul(h, a) == f:
         return a
@@ -729,9 +727,10 @@ Q = QRat._make(1, (1,), (1,))
 # --------------------------------------------------------------------------
 # Laurent values packed as integers, for sums of many products (mpoly.dot).
 # A Laurent value q**v * n is packed as (v, N) with N = n(2**W), in the W-bit
-# chunks of `_kmul`: a product of two packed values is (v1 + v2, N1 * N2),
+# chunks of `_kpack`: a product of two packed values is (v1 + v2, N1 * N2),
 # and a sum shifts the N with the larger v up by W bits per power of q and
-# adds.  W is a machine word wide enough for every coefficient of the sum.
+# adds.  W is the `_chunk_bytes` width of every coefficient of the sum, and
+# the lane is taken only when that is a machine word.
 # --------------------------------------------------------------------------
 
 def _laurent_scan(values, budget: int) -> tuple[int, int] | None:
@@ -753,8 +752,8 @@ def _laurent_scan(values, budget: int) -> tuple[int, int] | None:
     return bits, longest
 
 
-def _laurent_word(left, right, products: int) -> tuple[int, str] | None:
-    """The machine word (byte size, `array` typecode) whose chunks hold every
+def _laurent_word(left, right, products: int) -> int | None:
+    """The byte size of the machine word whose chunks hold every
     coefficient of a sum of `products` products u * v, u from the nonzero
     values left and v from right; None when a value is not Laurent or no
     machine word is wide enough.
@@ -766,27 +765,24 @@ def _laurent_word(left, right, products: int) -> tuple[int, str] | None:
     counting the coefficients of the numerators.  Every partial sum obeys
     the same bound, so each one reads back exactly.
     """
-    room = 8 * max(_WORDS, default=0) - 1 - products.bit_length()
+    room = 8 * max(_CODES, default=0) - 1 - products.bit_length()
     lhs = _laurent_scan(left, room - 2)  # right's bits and the length take one bit each, at least
     rhs = lhs and _laurent_scan(right, room - 1 - lhs[0])
     if not rhs:
         return None
     w = lhs[0] + rhs[0] + min(lhs[1], rhs[1]).bit_length() + products.bit_length() + 1
-    return _WORDS.get((w + 7) // 8)
+    nb = _chunk_bytes(w)
+    return nb if nb in _CODES else None
 
 
-def _laurent_pack(items, nb: int, code: str) -> list[tuple[object, int, int]]:
+def _laurent_pack(items, nb: int) -> list[tuple[object, int, int]]:
     """(key, v, N) for each (key, c) of items, c = q**v * n a nonzero Laurent
-    value and N the value of n at q = 2**(8 * nb); every coefficient of n
-    must fit nb signed bytes, and code is the typecode of an nb-byte word."""
-    out = []
-    for k, c in items:
-        n = c._n
-        out.append((k, c._v, _kval(n, nb, code)))
-    return out
+    value and N = `_kpack`(n, nb), its value at q = 2**(8 * nb); every
+    coefficient of n must fit nb signed bytes."""
+    return [(k, c._v, _kpack(c._n, nb)) for k, c in items]
 
 
-def _laurent_unpack(items, nb: int, code: str) -> dict:
+def _laurent_unpack(items, nb: int) -> dict:
     """{key: q**v * n} for each (key, (v, N)) of items with N = n(2**W) nonzero,
     W = 8 * nb, and every coefficient of n below 2**(W - 1) in magnitude; a
     zero N is dropped.  The zero chunks at the bottom of N move into v, and
@@ -800,7 +796,7 @@ def _laurent_unpack(items, nb: int, code: str) -> dict:
         if s:
             packed >>= w * s
             v += s
-        out[k] = QRat._make(v, _kdigits(packed, nb, code), (1,))
+        out[k] = QRat._make(v, _kdigits(packed, nb), (1,))
     return out
 
 

@@ -86,6 +86,17 @@ class TestParser:
             parse_expr("x ? 1")
         assert exc.value.offset == 2
 
+    @pytest.mark.parametrize("text", ["²", "٣ + x"], ids=["superscript-two", "arabic-indic-three"])
+    def test_non_ascii_digit(self, text):
+        # Characters that str.isdigit accepts but are not ASCII digits: one
+        # would reach int() and fail with no offset, the other read as 3.
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert (str(exc.value), exc.value.offset) == (f"unexpected character {text[0]!r} at offset 0", 0)
+        out, code, err = run(["eval", text, "--q", "1", "--x", "1"])
+        assert (out, code) == ("", 2)
+        assert err.startswith("error: unexpected character")
+
     def test_parse_error_pickles(self):
         # verify --jobs re-raises a worker's exception here from a pickle
         with pytest.raises(ParseError) as exc:

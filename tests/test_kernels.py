@@ -117,7 +117,7 @@ class TestPmul:
         # the byte loop, which the benchmarks reach only at their largest
         # coefficients.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qfield, "_WORDS", {})
+            mp.setattr(qfield, "_CODES", {})
             assert _pmul(f, g) == schoolbook(f, g)
 
     @given(st.integers(0, 2 * _KRONECKER_MIN), st.sampled_from([1, -1, 3, -(2**64 + 1), 2**200 + 7]),
@@ -241,17 +241,11 @@ class TestPgcdCofactors:
         # divides neither operand; the second point, 2**16, gives the gcd
         # q + 4.  Each point packs both operands once.
         f, g = (16, 16, 7, 1), (-4, -9, 6, 2)
-        widths = []
-        kval = qfield._kval
-
-        def recording_kval(p, nb, code):
-            widths.append(nb)
-            return kval(p, nb, code)
-
+        packed = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qfield, "_kval", recording_kval)
+            _recording(mp, "_kpack", packed)
             assert _pgcd(f, g) == ((4, 1), (4, 3, 1), (-1, -2, 2))
-        assert widths == [1, 1, 2, 2]
+        assert [nb for _, nb in packed] == [1, 1, 2, 2]
 
     def test_unit_operand_returns_the_other(self):
         f = (0, -6, 4)
@@ -311,7 +305,7 @@ class TestHeuristicGcd:
         with pytest.MonkeyPatch.context() as mp:
             _recording(mp, "_kpack", packed)
             _check_pgcd(f, g)
-        assert packed and all(nb > 8 and code == "" for _, nb, code, _, _ in packed)
+        assert packed and all(nb > 8 for _, nb in packed)
 
     def test_multiply_back_when_the_bound_fails(self):
         # Small coefficients, so W = 8, but min(len a, len h) = 40 takes six
@@ -347,30 +341,42 @@ class TestHeuristicGcd:
 
 
 class TestPacking:
-    """`_kval` and `_kdigits` on both sides of _KRONECKER_MIN, at machine
-    words and past them, against a plain sum of powers of two."""
+    """`_kpack` and `_kdigits` on both sides of _KRONECKER_MIN, at machine
+    words and past them, against a plain sum of powers of two, and the
+    chunk width `_chunk_bytes` that chooses between them."""
 
-    @given(st.integers(1, 10), st.data())
+    @given(st.integers(1, 17), st.data())
     def test_round_trip(self, nb, data):
         top = 2 ** (8 * nb - 1)
         f = data.draw(st.lists(st.integers(-top + 1, top - 1), max_size=3 * _KRONECKER_MIN))
         while f and f[-1] == 0:
             f.pop()
         f = tuple(f)
-        for size, code in ((nb, ""), qfield._WORDS.get(nb, (nb, ""))):
-            packed = qfield._kval(f, size, code)
+        for size in (nb, qfield._chunk_bytes(8 * nb)):
+            packed = qfield._kpack(f, size)
             assert packed == sum(c << (8 * size * i) for i, c in enumerate(f))
-            assert qfield._kdigits(packed, size, code) == f
+            assert qfield._kdigits(packed, size) == f
 
-    @given(st.integers(1, 10), st.integers(-(2**700), 2**700))
+    @given(st.integers(1, 17), st.integers(-(2**700), 2**700))
     @example(1, int("7f" + "80" * 9, 16))  # every digit carries: 11 chunks for 10 bytes
     def test_balanced_digits(self, nb, n):
-        for size, code in ((nb, ""), qfield._WORDS.get(nb, (nb, ""))):
+        for size in (nb, qfield._chunk_bytes(8 * nb)):
             w = 8 * size
-            digits = qfield._kdigits(n, size, code)
+            digits = qfield._kdigits(n, size)
             assert sum(d << (w * i) for i, d in enumerate(digits)) == n
             assert all(-(2 ** (w - 1)) <= d < 2 ** (w - 1) for d in digits)
             assert not digits or digits[-1]
+
+    def test_chunk_bytes(self):
+        # Up to the widest machine word, the smallest word of whole bytes;
+        # past it, and with no words at all, the whole bytes alone.
+        for bits in range(1, 201):
+            nb = -(-bits // 8)
+            want = min(s for s in (1, 2, 4, 8) if s >= nb) if nb <= 8 else nb
+            assert qfield._chunk_bytes(bits) == want, bits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qfield, "_CODES", {})
+            assert [qfield._chunk_bytes(bits) for bits in range(1, 201)] == [-(-b // 8) for b in range(1, 201)]
 
 
 class TestPgcdFallback:

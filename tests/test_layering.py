@@ -3,7 +3,9 @@
 Every other module under src/qabel works through public methods: none reads
 MPoly's term table `._t` or builds a polynomial with `MPoly._raw`, and none
 reads QRat's stored power of q, numerator and denominator or builds a
-QRat with `QRat._make`.
+QRat with `QRat._make`.  None imports or names qfield's Kronecker chunk
+codec either: `mpoly` reaches the chunks only through the Laurent lane,
+`_laurent_word`, `_laurent_pack` and `_laurent_unpack`.
 """
 import ast
 from pathlib import Path
@@ -20,6 +22,9 @@ PRIVATE = {
     "mpoly.py": ("_t", "_raw"),
     "qfield.py": ("_v", "_n", "_d", "_c", "_np", "_dp", "_make"),
 }
+
+# The chunk width rule, pack and read-back of qfield.
+CHUNK_CODEC = ("_CODES", "_chunk_bytes", "_kpack", "_kdigits")
 
 
 def _others(owner: str) -> list[Path]:
@@ -47,3 +52,25 @@ def test_no_term_table_access_outside_mpoly(path):
 @pytest.mark.parametrize("path", _others("qfield.py"), ids=lambda p: p.name)
 def test_no_qrat_storage_access_outside_qfield(path):
     assert _private_uses(path, "qfield.py") == []
+
+
+# The field that holds the name, for each node that names something.
+_NAMED = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def _codec_uses(path: Path) -> list[str]:
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        field = _NAMED.get(type(node))
+        if field and getattr(node, field) in CHUNK_CODEC:
+            hits.append(f"{path.name}:{node.lineno}: {getattr(node, field)}")
+    return hits
+
+
+@pytest.mark.parametrize("path", _others("qfield.py"), ids=lambda p: p.name)
+def test_no_chunk_codec_outside_qfield(path):
+    assert _codec_uses(path) == []
+
+
+def test_chunk_codec_is_found_in_qfield():
+    assert {h.rsplit(" ", 1)[1] for h in _codec_uses(SRC / "qfield.py")} == set(CHUNK_CODEC)

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qabel import mpoly
 from qabel.mpoly import MPoly, Monomial, Symbol, dot, mp_arith, mp_coeffs_in, mp_eval_q1, mp_subst
 from qabel.qcomb import qint
-from qabel.qfield import _WORDS, PoleAtPoint, QRat, _laurent_pack, _laurent_unpack, _laurent_word
+from qabel.qfield import _CODES, PoleAtPoint, QRat, _laurent_pack, _laurent_unpack, _laurent_word
 
 X = MPoly.var(Symbol.x)
 Y = MPoly.var(Symbol.y)
@@ -288,12 +288,12 @@ def test_dot_is_the_sum_of_products(pairs):
     assert out.eval_at(at, point) == sum(u.eval_at(at, point) * v.eval_at(at, point) for u, v in pairs)
 
 
-@given(_BITS.flatmap(wide_coeffs), st.sampled_from(sorted({s for s, _ in _WORDS.values()})))
+@given(_BITS.flatmap(wide_coeffs), st.sampled_from(sorted(_CODES)))
 def test_laurent_pack_round_trip(c, nb):
     # A nonzero value whose coefficients fit the word reads back as itself.
     assume(not c.is_zero() and max(abs(k) for k in c.num.coeffs) < 2 ** (8 * nb - 1))
-    ((key, v, packed),) = _laurent_pack([("k", c)], *_WORDS[nb])
-    assert _laurent_unpack([(key, (v, packed))], *_WORDS[nb]) == {"k": c}
+    ((key, v, packed),) = _laurent_pack([("k", c)], nb)
+    assert _laurent_unpack([(key, (v, packed))], nb) == {"k": c}
 
 
 class TestPackedDot:
@@ -309,7 +309,7 @@ class TestPackedDot:
         cu, cv = QRat([1 - 2 ** lb] * 3), QRat([1 - 2 ** rb] * 3)
         pairs = [(X.scale(cu), A.scale(cv)) for _ in range(3)]
         word = _laurent_word([cu] * 3, [cv] * 3, 3)
-        assert (word and word[0]) == nb
+        assert word == nb
         packed = mpoly._packed_dot([(u._t, v._t) for u, v in pairs])
         assert (packed is None) == (nb is None)
         assert dot(pairs) == (X * A).scale(cu * cv * 3) == _pairwise(pairs)

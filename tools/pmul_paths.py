@@ -45,7 +45,7 @@ def path_of(f, g) -> str:
     if len(f) < qfield._KRONECKER_MIN:
         return "schoolbook"
     w = max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length() + len(f).bit_length() + 1
-    return "word" if (w + 7) // 8 in qfield._WORDS else "bytes"
+    return "word" if qfield._chunk_bytes(w) in qfield._CODES else "bytes"
 
 
 def count_paths(argvs) -> Counter:
