@@ -11,14 +11,13 @@ nonzero coefficient.  The sum of products `dot` forms its products term by
 term (Monagan & Pearce, "Sparse polynomial multiplication and division in
 Maple 14", 2009).  With two or more nonzero pairs whose coefficients are all
 Laurent polynomials q**v * n, it packs each coefficient once as an integer
-pair (v, N), N = n(2**W) in the Kronecker chunks that `qfield` also uses
-for its products and gcds, and forms every term-pair product and sum on
-those integers.  W is the smallest machine word that holds every
-coefficient of every partial sum (`qfield._laurent_word`), and the chunks
-are reached only through `qfield._laurent_pack` and `_laurent_unpack`.
-When some coefficient is not Laurent, or no word is wide enough, the sum
-is formed on QRat values instead.  A single product always is: packing its
-coefficients costs as much as the few products it would serve.
+pair (v, N), N = n(2**W) in `qfield`'s Kronecker chunks (`_laurent_pack`,
+`_laurent_unpack`), and forms every term-pair product and sum on those
+integers.  W is the smallest machine word that holds every coefficient of
+every partial sum (`qfield._laurent_word`); when some coefficient is not
+Laurent, or no word is wide enough, the sum is formed on QRat values
+instead.  A single product always is: packing its coefficients costs as
+much as the few products it would serve.
 """
 from __future__ import annotations
 

@@ -19,11 +19,12 @@ quotients by it, and each cofactor is proven by a norm bound or by
 multiplying back; the primitive PRS is the fallback.  GCDHEU, the
 Kronecker product `_kmul` and the packed sums of `mpoly.dot` share one
 chunk codec: `_chunk_bytes` turns a bit width into W, `_kpack` packs
-n(2**W) and `_kdigits` reads the balanced digits back.  `_pgcd` returns the two cofactors too, so a reduction divides
-nothing further.  The views and the text multiply the power of q back into the
-pair and show the denominator as a primitive integer polynomial, with its
-content divided into the numerator's coefficients; the rendering of a
-value is bit-reproducible.
+n(2**W) and `_kdigits` reads the balanced digits back.  `_pgcd` returns
+the two cofactors too, so a reduction divides nothing further.  The views
+and the text multiply the power of q back into the pair and show the
+denominator as a primitive integer polynomial, with its content divided
+into the numerator's coefficients; the rendering of a value is
+bit-reproducible.
 
 All values are immutable and freely shareable between threads.
 """
@@ -83,8 +84,9 @@ _KRONECKER_MIN = 8
 
 # The machine words of the Kronecker chunks, which `array` packs and unpacks
 # in C: _CODES maps each word's byte size to its signed typecode.  Typecodes
-# are chosen by their item size, which the C compiler sets, not by name; the
-# C sizes of "bhilq" never decrease, so the sizes come in ascending order.
+# are chosen by their item size, which the C compiler sets, not by name.  The
+# C sizes of "bhilq" never decrease, so the keys ascend, as `_chunk_bytes`
+# needs.
 _CODES = {array(c).itemsize: c for c in "bhilq"}
 _ORDER = sys.byteorder
 
@@ -146,17 +148,15 @@ def _kmul(f: IPoly, g: IPoly) -> IPoly:
     The width w is bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 1.
     Each product coefficient is a sum of at most min(len f, len g) products
     of one coefficient of each operand, so its magnitude is below 2**(w - 1).
-    The chunk width W is w rounded up by `_chunk_bytes` to whole bytes, and
-    further to the next machine word (1, 2, 4 or 8 bytes) when there is
-    one; W >= w keeps every coefficient below 2**(W - 1), and every operand
-    coefficient too.  An operand is packed by `_kpack` as the W-bit two's
-    complements of its coefficients, each negative one having borrowed 2**W
-    from the chunk above.  `_kdigits` reads the product back: adding
-    2**(W - 1) to every chunk gives digits c + 2**(W - 1) in (0, 2**W), so
-    the sum is their base-2**W expansion with no carry between chunks.  XOR
-    with the same offsets flips bit W - 1 of each digit, which subtracts
-    2**(W - 1) modulo 2**W: each chunk becomes the W-bit two's complement
-    of its coefficient.
+    The chunk width W = 8 * `_chunk_bytes`(w) >= w keeps every coefficient
+    below 2**(W - 1), and every operand coefficient too.  An operand is
+    packed by `_kpack` as the W-bit two's complements of its coefficients,
+    each negative one having borrowed 2**W from the chunk above.
+    `_kdigits` reads the product back: adding 2**(W - 1) to every chunk
+    gives digits c + 2**(W - 1) in (0, 2**W), so the sum is their base-2**W
+    expansion with no carry between chunks.  XOR with the same offsets
+    flips bit W - 1 of each digit, which subtracts 2**(W - 1) modulo 2**W:
+    each chunk becomes the W-bit two's complement of its coefficient.
     """
     w = max(max(f), -min(f)).bit_length() + max(max(g), -min(g)).bit_length() + len(f).bit_length() + 1
     nb = _chunk_bytes(w)
