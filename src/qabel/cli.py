@@ -494,6 +494,9 @@ def run_command(argv: list[str], stderr=None) -> tuple[str, int]:
     except RecursionError:
         print("error: input nested too deeply or index too large to evaluate", file=err)
         return "", 2
+    except OverflowError:
+        print("error: index or exponent too large to evaluate", file=err)
+        return "", 2
 
 
 def main(argv: list[str] | None = None) -> None:

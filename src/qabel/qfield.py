@@ -733,10 +733,10 @@ Q = QRat._make(1, (1,), (1,))
 # the lane is taken only when that is a machine word.
 # --------------------------------------------------------------------------
 
-def _laurent_scan(values, budget: int) -> tuple[int, int] | None:
+def _laurent_scan(values) -> tuple[int, int] | None:
     """(bit size of the largest |coefficient|, length of the longest
     numerator) over nonzero values, or None at the first value that is not
-    a Laurent polynomial or has a coefficient of more than budget bits."""
+    a Laurent polynomial."""
     bits = longest = 0
     for c in values:
         if c._d != (1,):
@@ -744,8 +744,6 @@ def _laurent_scan(values, budget: int) -> tuple[int, int] | None:
         n = c._n
         b = max(max(n), -min(n)).bit_length()
         if b > bits:
-            if b > budget:
-                return None
             bits = b
         if len(n) > longest:
             longest = len(n)
@@ -765,13 +763,11 @@ def _laurent_word(left, right, products: int) -> int | None:
     counting the coefficients of the numerators.  Every partial sum obeys
     the same bound, so each one reads back exactly.
     """
-    room = 8 * max(_CODES, default=0) - 1 - products.bit_length()
-    lhs = _laurent_scan(left, room - 2)  # right's bits and the length take one bit each, at least
-    rhs = lhs and _laurent_scan(right, room - 1 - lhs[0])
+    lhs = _laurent_scan(left)
+    rhs = lhs and _laurent_scan(right)
     if not rhs:
         return None
-    w = lhs[0] + rhs[0] + min(lhs[1], rhs[1]).bit_length() + products.bit_length() + 1
-    nb = _chunk_bytes(w)
+    nb = _chunk_bytes(lhs[0] + rhs[0] + min(lhs[1], rhs[1]).bit_length() + products.bit_length() + 1)
     return nb if nb in _CODES else None
 
 

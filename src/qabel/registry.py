@@ -461,7 +461,7 @@ class CheckResult:
         return self.status == "pass"
 
 
-_TABLE: list[Identity] = [
+REGISTRY: dict[str, Identity] = {ident.id: ident for ident in [
     Identity("0.3", "classical Abel binomial expansion", {"n": Span()}, _chk_0_3),
     Identity("0.17", "classical alternating evaluation sum", {"n": Span()}, _chk_0_17),
     Identity("limit-A", "A family degenerates to the classical family at q = 1", {"n": Span()},
@@ -528,14 +528,12 @@ _TABLE: list[Identity] = [
     Identity("5.11", "polynomial shadow of the geometric-weighted expansion", {"n": Span()}, _chk_5_11),
     Identity("5.12", "geometric-weighted expansion, widened parameter", {"N": _AT_ORDER},
              _chk_geometric(A + B.scale(_ONE_MINUS_Q), shift_g)),
-]
-
-REGISTRY: dict[str, Identity] = {ident.id: ident for ident in _TABLE}
+]}
 
 
 def identity_ids() -> list[str]:
     """Registered identity ids in registry order."""
-    return [ident.id for ident in _TABLE]
+    return list(REGISTRY)
 
 
 def get_identity(identity_id: str) -> Identity:

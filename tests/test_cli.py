@@ -512,6 +512,19 @@ class TestDeepRecursion:
         assert run(argv) == (expected, 0, "")
 
 
+class TestHugeIndex:
+    # An index or exponent too large for a tuple's length ends as a usage
+    # error, not as a traceback with the exit code reserved for failed checks.
+    # Only values that overflow at once: a merely large one allocates.
+    @pytest.mark.parametrize(
+        "argv",
+        [["poly", "G", "99999999999999999999"], ["expand", "x^999999999999999999999999999999"]],
+        ids=["poly-index", "expand-exponent"],
+    )
+    def test_exits_2_with_error(self, argv):
+        assert run(argv) == ("", 2, "error: index or exponent too large to evaluate\n")
+
+
 # Outputs whose coefficients carry a rational scalar beside a q-denominator.
 # The split of the scalar between numerator and denominator shows in their
 # text, so any change to how a coefficient stores its rational content is

@@ -26,8 +26,9 @@ q-denominator, and larger `poly` and `lagrange` runs: every mode and
 built-in at 12 terms, `E_xz` at 14, and the series identities 1.5, 4.8,
 4.13 and 3.3-vs-3.5 at `--max-n 9 --order 11`.  Last comes the error
 corpus: usage errors, parse errors, every message of an invalid function
-index, evaluation errors, and inputs past the interpreter's depth limit,
-each of which must exit 2 with its own `error: ...` line.  The three
+index, evaluation errors, inputs past the interpreter's depth limit, and
+an index and an exponent too large for a tuple's length, each of which
+must exit 2 with its own `error: ...` line.  The three
 `verify --json` commands come once more at the end with `--jobs 2`, run on
 worker processes; each must print the same bytes as its in-process twin.
 """
@@ -60,6 +61,7 @@ INDEX_ERRORS = ("qnum(x)", "qnum(q)", "qnum(1/2)", "qfac(0-1)", "qbinom(0-3,1)",
 EVAL_ERRORS = (
     ["expand", "1/x"], ["expand", "x/(1-1)"], ["eval", "x/(1-q)", "--q", "1", "--x", "1"], ["eval", "x + 1", "--q", "1"],
     ["expand", "(" * 2000 + "x" + ")" * 2000], ["eval", "qfac(1500)", "--q", "1"], ["eval", "qbinom(1500,3)", "--q", "1"],
+    ["poly", "G", "99999999999999999999"], ["expand", "x^999999999999999999999999999999"],
 )
 
 # `(0.3 ms)` in verify's text report, `"elapsed_ms": 0.246` in its JSON.
