@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -403,10 +404,14 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
+    # ASCII digits only, as in the tokenizer: Fraction() also reads decimals,
+    # non-ASCII digits and exponents, building 10**10**7 in full for 1e10000000.
     try:
-        return Fraction(text)
+        if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"{what} must be an integer or p/r rational, got {text!r}") from None
+        pass
+    raise _UsageError(f"{what} must be an integer or p/r rational, got {text!r}")
 
 
 def _cmd_verify(ns) -> tuple[str, int]:

@@ -10,14 +10,14 @@ A term table maps an exponent key, a tuple of five nonnegative ints, to a
 nonzero coefficient.  The sum of products `dot` forms its products term by
 term (Monagan & Pearce, "Sparse polynomial multiplication and division in
 Maple 14", 2009).  With two or more nonzero pairs whose coefficients are all
-Laurent polynomials q**v * n, it packs each coefficient once as an integer
-pair (v, N), N = n(2**W) in `qfield`'s Kronecker chunks (`_laurent_pack`,
-`_laurent_unpack`), and forms every term-pair product and sum on those
-integers.  W is the smallest machine word that holds every coefficient of
-every partial sum (`qfield._laurent_word`); when some coefficient is not
-Laurent, or no word is wide enough, the sum is formed on QRat values
-instead.  A single product always is: packing its coefficients costs as
-much as the few products it would serve.
+Laurent polynomials q**v * n, it packs each coefficient once per side as
+N = n(2**W) in `qfield`'s Kronecker chunks with a shift for its power of q
+(`_laurent_pack`, `_laurent_unpack`), and forms every term-pair product
+and sum on those integers.  W is the smallest machine word that holds
+every coefficient of every partial sum (`qfield._laurent_word`); when some
+coefficient is not Laurent, or no word is wide enough, the sum is formed on
+QRat values instead.  A single product always is: packing its coefficients
+costs as much as the few products it would serve.
 """
 from __future__ import annotations
 
@@ -360,38 +360,32 @@ def _packed_dot(tables: list[tuple[dict, dict]]) -> dict | None:
     tables, formed on packed Laurent coefficients; None when a coefficient
     is not Laurent or the sum's coefficients need more than a machine word.
 
-    Each coefficient is packed once, as (v, N) with N an integer holding the
-    q-coefficients in W-bit chunks (`qfield._laurent_word`).  A term pair's
-    product is (v1 + v2, N1 * N2), added into the running table by shifting
-    the N with the larger v up W bits per power of q; each output term is
-    unpacked into a coefficient once, and one whose sum is zero is dropped.
+    The u tables and the v tables are packed apart, each coefficient once
+    per side, as an integer N holding its numerator in W-bit chunks and a
+    shift in bits for its power of q above the lowest one on that side
+    (`qfield._laurent_word`, `_laurent_pack`).  A term pair's product is
+    N1 * N2 shifted by s1 + s2, added into one integer per output key; each
+    output term is unpacked into a coefficient once, and one whose sum is
+    zero is dropped.
     """
     lefts = {id(u): u for u, _ in tables}
     rights = {id(v): v for _, v in tables}
-    nb = _laurent_word((c for t in lefts.values() for c in t.values()),
-                       (c for t in rights.values() for c in t.values()),
-                       sum(len(u) * len(v) for u, v in tables))
-    if nb is None:
+    lane = _laurent_word((c for t in lefts.values() for c in t.values()),
+                         (c for t in rights.values() for c in t.values()),
+                         sum(len(u) * len(v) for u, v in tables))
+    if lane is None:
         return None
-    w = 8 * nb
-    packed = {i: _laurent_pack(t.items(), nb) for i, t in {**lefts, **rights}.items()}
-    acc: dict[tuple, tuple[int, int]] = {}
+    nb, low_u, low_v = lane
+    packed_u = {i: _laurent_pack(t.items(), nb, low_u) for i, t in lefts.items()}
+    packed_v = {i: _laurent_pack(t.items(), nb, low_v) for i, t in rights.items()}
+    acc: dict[tuple, int] = {}
     for tu, tv in tables:
-        pv = packed[id(tv)]
-        for ku, vu, nu in packed[id(tu)]:
-            for kv, vv, nv in pv:
+        pv = packed_v[id(tv)]
+        for ku, su, nu in packed_u[id(tu)]:
+            for kv, sv, nv in pv:
                 k = tuple(map(add, ku, kv))
-                v = vu + vv
-                s = acc.get(k)
-                if s is None:
-                    acc[k] = v, nu * nv
-                elif s[0] == v:
-                    acc[k] = v, s[1] + nu * nv
-                elif s[0] < v:
-                    acc[k] = s[0], s[1] + (nu * nv << w * (v - s[0]))
-                else:
-                    acc[k] = v, (s[1] << w * (s[0] - v)) + nu * nv
-    return _laurent_unpack(acc.items(), nb)
+                acc[k] = acc.get(k, 0) + (nu * nv << su + sv)
+    return _laurent_unpack(acc.items(), nb, low_u + low_v)
 
 
 def dot(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:

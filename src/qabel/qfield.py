@@ -10,13 +10,14 @@ The weights q**k and q**C(k, 2) make almost every value a Laurent
 polynomial n/q**k, stored with d == (1,).  Two such values multiply to
 q**(v1 + v2) * n1*n2, since two nonzero constant terms have a nonzero
 product, and add by shifting the numerator with the larger v and taking
-off the power of q that cancelled; neither takes a gcd.  Any other value
-is reduced by one gcd in Z[q], `_pgcd`: the gcd of the integer contents
-times the gcd of the primitive parts.  The heuristic gcd GCDHEU finds the
-latter at q = 2**W: the candidate and the cofactors are the balanced
-base-2**W digits of the integer gcd of the packed values and of the exact
-quotients by it, and each cofactor is proven by a norm bound or by
-multiplying back; the primitive PRS is the fallback.  GCDHEU, the
+off the power of q that cancelled; neither takes a gcd.  Only QRat
+handles the power of q: `_pmul`, `_pgcd` and the packed lane split none
+off.  Any other value is reduced by one gcd in Z[q], `_pgcd`: the gcd of
+the integer contents times the gcd of the primitive parts.  The heuristic
+gcd GCDHEU finds the latter at q = 2**W: the candidate and the cofactors
+are the balanced base-2**W digits of the integer gcd of the packed values
+and of the exact quotients by it, and each cofactor is proven by a norm
+bound or by multiplying back; the primitive PRS is the fallback.  GCDHEU, the
 Kronecker product `_kmul` and the packed sums of `mpoly.dot` share one
 chunk codec: `_chunk_bytes` turns a bit width into W, `_kpack` packs
 n(2**W) and `_kdigits` reads the balanced digits back.  `_pgcd` returns
@@ -94,17 +95,17 @@ _ORDER = sys.byteorder
 def _pmul(f: IPoly, g: IPoly) -> IPoly:
     """Product of two integer polynomials.
 
-    A unit operand returns the other one.  Otherwise the lowest power of q
-    is split off both operands and put back on the product.  If one of
-    them is then a constant c, the product is the other one scaled by c.
-    If one of them is c * [m], m equal coefficients c as in the q-integer
-    [m] = 1 + q + ... + q**(m - 1), coefficient k of the product is the
-    window sum c * (S[k] - S[k - m]) over the prefix sums S of the other
-    one (S[k] = S[-1] past its end, 0 below its start), formed by
-    `accumulate` and `map` in C; c < 0 swaps the two sides of the
-    difference.  If the shorter operand has fewer than _KRONECKER_MIN
-    terms the product is the schoolbook sum; otherwise it is one
-    big-integer product by Kronecker substitution, `_kmul`.
+    `QRat` passes operands with nonzero constant terms; one that carries a
+    power of q still multiplies exactly, by the schoolbook sum or `_kmul`.
+    A unit operand returns the other one.  If one operand is a constant c,
+    the product is the other one scaled by c.  If one of them is c * [m],
+    m equal coefficients c as in the q-integer [m] = 1 + q + ... + q**(m - 1),
+    coefficient k of the product is the window sum c * (S[k] - S[k - m])
+    over the prefix sums S of the other one (S[k] = S[-1] past its end, 0
+    below its start), formed by `accumulate` and `map` in C; c < 0 swaps the
+    two sides of the difference.  If the shorter operand has fewer than
+    _KRONECKER_MIN terms the product is the schoolbook sum; otherwise it is
+    one big-integer product by Kronecker substitution, `_kmul`.
     """
     if not f or not g:
         return ()
@@ -112,31 +113,25 @@ def _pmul(f: IPoly, g: IPoly) -> IPoly:
         return g
     if g == (1,):
         return f
-    vf = vg = 0
-    if not (f[0] and g[0]):
-        vf, vg = _valuation(f), _valuation(g)
-        f, g = f[vf:], g[vg:]
     if len(f) > len(g):
         f, g = g, f
     if len(f) == 1:
-        return _pshift(_pscale(g, f[0]), vf + vg)
+        return _pscale(g, f[0])
     if g.count(g[0]) == len(g):
         f, g = g, f
     if f.count(f[0]) == len(f):
         c, m = f[0], len(f)
         s = list(accumulate(_pscale(g, abs(c))))
         hi, lo = s + [s[-1]] * (m - 1), [0] * m + s[:-1]
-        out = [0] * (vf + vg)
-        out += map(_sub, lo, hi) if c < 0 else map(_sub, hi, lo)
-        return tuple(out)
+        return tuple(list(map(_sub, lo, hi) if c < 0 else map(_sub, hi, lo)))
     if len(f) < _KRONECKER_MIN:
-        out = [0] * (vf + vg + len(f) + len(g) - 1)
-        for i, a in enumerate(f, vf + vg):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
             if a:
                 for j, b in enumerate(g, i):
                     out[j] += a * b
         return _trim(out)
-    return _pshift(_kmul(f, g), vf + vg)
+    return _kmul(f, g)
 
 
 def _kmul(f: IPoly, g: IPoly) -> IPoly:
@@ -303,19 +298,17 @@ def _pgcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly]:
     coefficient, and its cofactors: the triple (h, f/h, g/h).
 
     In a UFD the gcd is gcd(contents) * gcd(primitive parts) (Knuth, TAOCP
-    vol. 2, 4.6.1).  The lowest power of q is split off first, so a monomial
-    costs no remainder; each operand is then split once into content and
-    primitive part.  The gcd of the primitive parts is 1 when one of them is
-    a constant, and the part itself when the two are equal; two other parts
+    vol. 2, 4.6.1).  `QRat` passes operands with nonzero constant terms,
+    but the paths below are exact on any.  Each operand is split once into
+    content and primitive part.  The gcd of the primitive parts is 1 when one of them is a
+    constant, and the part itself when the two are equal; two other parts
     of positive degree go through the heuristic gcd, `_heu_gcd`, and through
     the primitive PRS, `_prs_gcd`, in the rare case that it gives up.
     """
     if f == (1,) or g == (1,):
         return (1,), f, g
-    vf, vg = _valuation(f), _valuation(g)
-    v = min(vf, vg)
-    cf, fp = _primitive(f[vf:])
-    cg, gp = _primitive(g[vg:])
+    cf, fp = _primitive(f)
+    cg, gp = _primitive(g)
     c = _int_gcd(cf, cg)
     if len(fp) == 1 or len(gp) == 1:
         h = (1,)
@@ -323,10 +316,9 @@ def _pgcd(f: IPoly, g: IPoly) -> tuple[IPoly, IPoly, IPoly]:
         h, fp, gp = fp, (1,), (1,)
     else:
         h, fp, gp = _heu_gcd(fp, gp) or _prs_gcd(fp, gp)
-    if h == (1,) and c == 1 and v == 0:
+    if h == (1,) and c == 1:
         return h, f, g
-    return (_pshift(_pscale(h, c), v), _pshift(_pscale(fp, cf // c), vf - v),
-            _pshift(_pscale(gp, cg // c), vg - v))
+    return _pscale(h, c), _pscale(fp, cf // c), _pscale(gp, cg // c)
 
 
 # GCDHEU gives up after this many evaluation points (sympy's HEU_GCD_MAX).
@@ -726,18 +718,19 @@ Q = QRat._make(1, (1,), (1,))
 
 # --------------------------------------------------------------------------
 # Laurent values packed as integers, for sums of many products (mpoly.dot).
-# A Laurent value q**v * n is packed as (v, N) with N = n(2**W), in the W-bit
-# chunks of `_kpack`: a product of two packed values is (v1 + v2, N1 * N2),
-# and a sum shifts the N with the larger v up by W bits per power of q and
-# adds.  W is the `_chunk_bytes` width of every coefficient of the sum, and
-# the lane is taken only when that is a machine word.
+# A Laurent value q**v * n of one side is packed as N = n(2**W), in the
+# W-bit chunks of `_kpack`, with the shift W * (v - low), low the lowest v on
+# its side: a product is N1 * N2 << s1 + s2 and a sum adds, q**(low1 + low2)
+# factored out.  W is the `_chunk_bytes` width of every coefficient of the
+# sum, and the lane is taken only when that is a machine word.
 # --------------------------------------------------------------------------
 
-def _laurent_scan(values) -> tuple[int, int] | None:
+def _laurent_scan(values) -> tuple[int, int, int] | None:
     """(bit size of the largest |coefficient|, length of the longest
-    numerator) over nonzero values, or None at the first value that is not
-    a Laurent polynomial."""
+    numerator, lowest power of q) over nonzero values, at least one, or None
+    at the first value that is not a Laurent polynomial."""
     bits = longest = 0
+    low = None
     for c in values:
         if c._d != (1,):
             return None
@@ -747,14 +740,17 @@ def _laurent_scan(values) -> tuple[int, int] | None:
             bits = b
         if len(n) > longest:
             longest = len(n)
-    return bits, longest
+        if low is None or c._v < low:
+            low = c._v
+    return bits, longest, low
 
 
-def _laurent_word(left, right, products: int) -> int | None:
-    """The byte size of the machine word whose chunks hold every
-    coefficient of a sum of `products` products u * v, u from the nonzero
-    values left and v from right; None when a value is not Laurent or no
-    machine word is wide enough.
+def _laurent_word(left, right, products: int) -> tuple[int, int, int] | None:
+    """(nb, low left, low right): the byte size nb of the machine word whose
+    chunks hold every coefficient of a sum of `products` products u * v, u
+    from the nonzero values left and v from right, and the lowest power of
+    q on each side; None when a value is not Laurent or no machine word is
+    wide enough.
 
     Each coefficient of one product is a sum of at most min(len u, len v)
     products of two coefficients, so the sum's coefficients are below
@@ -768,31 +764,31 @@ def _laurent_word(left, right, products: int) -> int | None:
     if not rhs:
         return None
     nb = _chunk_bytes(lhs[0] + rhs[0] + min(lhs[1], rhs[1]).bit_length() + products.bit_length() + 1)
-    return nb if nb in _CODES else None
+    return (nb, lhs[2], rhs[2]) if nb in _CODES else None
 
 
-def _laurent_pack(items, nb: int) -> list[tuple[object, int, int]]:
-    """(key, v, N) for each (key, c) of items, c = q**v * n a nonzero Laurent
-    value and N = `_kpack`(n, nb), its value at q = 2**(8 * nb); every
-    coefficient of n must fit nb signed bytes."""
-    return [(k, c._v, _kpack(c._n, nb)) for k, c in items]
+def _laurent_pack(items, nb: int, low: int) -> list[tuple[object, int, int]]:
+    """(key, shift, N) for each (key, c) of items, c = q**v * n a nonzero
+    Laurent value with v >= low, N = `_kpack`(n, nb), its value at
+    q = 2**W, W = 8 * nb, and shift = W * (v - low); every coefficient of n
+    must fit nb signed bytes."""
+    w = 8 * nb
+    return [(k, w * (c._v - low), _kpack(c._n, nb)) for k, c in items]
 
 
-def _laurent_unpack(items, nb: int) -> dict:
-    """{key: q**v * n} for each (key, (v, N)) of items with N = n(2**W) nonzero,
-    W = 8 * nb, and every coefficient of n below 2**(W - 1) in magnitude; a
-    zero N is dropped.  The zero chunks at the bottom of N move into v, and
-    the rest read back by `_kdigits`."""
+def _laurent_unpack(items, nb: int, low: int) -> dict:
+    """{key: q**low * p} for each (key, P) of items with P = p(2**W) nonzero,
+    W = 8 * nb, p an integer polynomial with every coefficient below
+    2**(W - 1) in magnitude; a zero P is dropped.  The zero chunks at the
+    bottom of P move into the power of q, and the rest read back by
+    `_kdigits`."""
     w = 8 * nb
     out = {}
-    for k, (v, packed) in items:
+    for k, packed in items:
         if not packed:
             continue
         s = ((packed & -packed).bit_length() - 1) // w
-        if s:
-            packed >>= w * s
-            v += s
-        out[k] = QRat._make(v, _kdigits(packed, nb), (1,))
+        out[k] = QRat._make(low + s, _kdigits(packed >> w * s, nb), (1,))
     return out
 
 

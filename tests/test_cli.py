@@ -219,6 +219,18 @@ class TestEvalCommand:
         _, code, err = run(["eval", "x", "--q", "1", "--x", "oops"])
         assert code == 2 and err
 
+    # Only what the message promises, ASCII [+-]p or [+-]p/r: an exponent
+    # would build its power of ten in full, and decimals, digit separators,
+    # blanks and non-ASCII digits are refused as in expressions.
+    @pytest.mark.parametrize("value", ["1e10000000", "0.5", "\u0663", "1_000", " 3", "1/0"],
+                             ids=["exponent", "decimal", "non-ascii", "underscore", "blank", "zero-den"])
+    def test_rational_is_ascii_digits_only(self, value):
+        expected = f"error: --x must be an integer or p/r rational, got {value!r}\n"
+        assert run(["eval", "x", "--q", "1", "--x", value]) == ("", 2, expected)
+
+    def test_signed_rationals(self):
+        assert run(["eval", "q*x", "--q=-2/4", "--x", "+3"]) == ("-3/2\n", 0, "")
+
     def test_parse_error_offset(self):
         _, code, err = run(["eval", "x +", "--q", "1", "--x", "1"])
         assert code == 2 and "offset 3" in err

@@ -1,14 +1,16 @@
 """Oracles for the integer-polynomial kernels of `qfield`.
 
 `_pmul` is compared with a schoolbook product on operands that carry powers
-of q, on monomials c * q**k, on multiples c * q**k * [m] of q-integers,
-which take the window sum and pack nothing, and on q-factorials.  The
+of q, which `QRat` never passes but which must stay exact, on monomials
+c * q**k, on multiples c * q**k * [m] of q-integers, which take the window
+sum and pack nothing when k = 0, and on q-factorials.  The
 Kronecker branch, `_kmul`, is run at chunk widths from one byte to nine:
 past eight, the machine-word chunks packed by `array` give way to the
 byte-loop fallback, which also runs on small operands with the word sizes
 switched off.  `_divexact` undoes it, and
 `_prem` agrees with a pseudo-remainder loop up to content.  `_pgcd` returns
-the gcd in Z[q] and the two cofactors.  Its gcd, from the heuristic gcd and,
+the gcd in Z[q] and the two cofactors, also of operands that carry a power
+of q.  Its gcd, from the heuristic gcd and,
 with the heuristic switched off, from the PRS fallback, is compared with the
 gcd of the integer contents times the primitive-PRS gcd over Q, with no
 fast path for constant arguments; its cofactors times the gcd must give the
@@ -132,14 +134,16 @@ class TestPmul:
            st.sampled_from([1, -1, 3, -(2**64 + 1), 2**200 + 7]), ipolys())
     def test_q_integer_operand(self, m, k, c, f):
         # c * q**k * [m] on either side of operands with inner zeros, their
-        # own power of q and coefficients past 2**64: the window sum, which
-        # packs nothing, even where both operands pass _KRONECKER_MIN.
+        # own power of q and coefficients past 2**64.  With k = 0 it is the
+        # window sum, which packs nothing, even where both operands pass
+        # _KRONECKER_MIN; with k > 0 the power of q stays on the operand,
+        # which then takes the schoolbook or Kronecker branch.
         w = (0,) * k + (c,) * m
         packed = []
         with pytest.MonkeyPatch.context() as mp:
             _recording(mp, "_kpack", packed)
             assert _pmul(w, f) == schoolbook(w, f) == _pmul(f, w)
-        assert not packed
+        assert k or not packed
 
     @given(st.integers(0, 40), ipolys())
     def test_q_power_shifts(self, k, f):

@@ -5,7 +5,10 @@ MPoly's term table `._t` or builds a polynomial with `MPoly._raw`, and none
 reads QRat's stored power of q, numerator and denominator or builds a
 QRat with `QRat._make`.  None imports or names qfield's Kronecker chunk
 codec either: `mpoly` reaches the chunks only through the Laurent lane,
-`_laurent_word`, `_laurent_pack` and `_laurent_unpack`.
+`_laurent_word`, `_laurent_pack` and `_laurent_unpack`.  Nor does any name
+the integer-polynomial kernels `_pmul`, `_pgcd`, `_heu_gcd` or `_prs_gcd`:
+they take operands with nonzero constant terms and split no power of q
+off, so only QRat, which keeps that power apart, calls them.
 """
 import ast
 from pathlib import Path
@@ -25,6 +28,8 @@ PRIVATE = {
 
 # The chunk width rule, pack and read-back of qfield.
 CHUNK_CODEC = ("_CODES", "_chunk_bytes", "_kpack", "_kdigits")
+# The integer-polynomial multiply and gcd of qfield.
+KERNELS = ("_pmul", "_pgcd", "_heu_gcd", "_prs_gcd")
 
 
 def _others(owner: str) -> list[Path]:
@@ -58,19 +63,28 @@ def test_no_qrat_storage_access_outside_qfield(path):
 _NAMED = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
-def _codec_uses(path: Path) -> list[str]:
+def _name_uses(path: Path, names: tuple[str, ...]) -> list[str]:
     hits = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         field = _NAMED.get(type(node))
-        if field and getattr(node, field) in CHUNK_CODEC:
+        if field and getattr(node, field) in names:
             hits.append(f"{path.name}:{node.lineno}: {getattr(node, field)}")
     return hits
 
 
 @pytest.mark.parametrize("path", _others("qfield.py"), ids=lambda p: p.name)
 def test_no_chunk_codec_outside_qfield(path):
-    assert _codec_uses(path) == []
+    assert _name_uses(path, CHUNK_CODEC) == []
 
 
 def test_chunk_codec_is_found_in_qfield():
-    assert {h.rsplit(" ", 1)[1] for h in _codec_uses(SRC / "qfield.py")} == set(CHUNK_CODEC)
+    assert {h.rsplit(" ", 1)[1] for h in _name_uses(SRC / "qfield.py", CHUNK_CODEC)} == set(CHUNK_CODEC)
+
+
+@pytest.mark.parametrize("path", _others("qfield.py"), ids=lambda p: p.name)
+def test_no_kernel_outside_qfield(path):
+    assert _name_uses(path, KERNELS) == []
+
+
+def test_kernels_are_found_in_qfield():
+    assert {h.rsplit(" ", 1)[1] for h in _name_uses(SRC / "qfield.py", KERNELS)} == set(KERNELS)

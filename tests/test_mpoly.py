@@ -288,12 +288,15 @@ def test_dot_is_the_sum_of_products(pairs):
     assert out.eval_at(at, point) == sum(u.eval_at(at, point) * v.eval_at(at, point) for u, v in pairs)
 
 
-@given(_BITS.flatmap(wide_coeffs), st.sampled_from(sorted(_CODES)))
-def test_laurent_pack_round_trip(c, nb):
-    # A nonzero value whose coefficients fit the word reads back as itself.
+@given(_BITS.flatmap(wide_coeffs), st.sampled_from(sorted(_CODES)), st.integers(0, 3))
+def test_laurent_pack_round_trip(c, nb, below):
+    # A nonzero value whose coefficients fit the word reads back as itself,
+    # packed against a lowest power of q at or below its own.
     assume(not c.is_zero() and max(abs(k) for k in c.num.coeffs) < 2 ** (8 * nb - 1))
-    ((key, v, packed),) = _laurent_pack([("k", c)], nb)
-    assert _laurent_unpack([(key, (v, packed))], nb) == {"k": c}
+    v = next(i for i, k in enumerate(c.num.coeffs) if k) - c.den.degree
+    low = v - below
+    ((key, shift, packed),) = _laurent_pack([("k", c)], nb, low)
+    assert _laurent_unpack([(key, packed << shift)], nb, low) == {"k": c}
 
 
 class TestPackedDot:
@@ -308,8 +311,8 @@ class TestPackedDot:
     def test_width_edges(self, lb, rb, nb):
         cu, cv = QRat([1 - 2 ** lb] * 3), QRat([1 - 2 ** rb] * 3)
         pairs = [(X.scale(cu), A.scale(cv)) for _ in range(3)]
-        word = _laurent_word([cu] * 3, [cv] * 3, 3)
-        assert word == nb
+        lane = _laurent_word([cu] * 3, [cv] * 3, 3)
+        assert lane == (None if nb is None else (nb, 0, 0))
         packed = mpoly._packed_dot([(u._t, v._t) for u, v in pairs])
         assert (packed is None) == (nb is None)
         assert dot(pairs) == (X * A).scale(cu * cv * 3) == _pairwise(pairs)
@@ -334,6 +337,17 @@ class TestPackedDot:
         out = dot([(MPoly.const(QRat([1, 1], [0, 1])), MPoly.const(Q)), (MPoly.const(-1), MPoly.const(Q))])
         assert out == MPoly.one()
         assert hash(out) == hash(1) == hash(MPoly.one())
+
+    def test_table_on_both_sides(self):
+        # P is a left and a right operand, its powers of q from q^-3 to q^4.
+        # The lowest power is q^-5 on the left (R) and q^-3 on the right (P),
+        # so P's terms need a different shift on each side.
+        p = X.scale(qp(-3) * QRat([2, -1])) + Y.scale(qp(4) * 5) + A.scale(QRat([1, 1]))
+        r = B.scale(qp(-5) * QRat([3, 0, 1]))
+        s = X.scale(qp(2) * 7)
+        for pairs in ([(p, p), (r, s)], [(p, r), (p, p)], [(p, p), (p, s), (r, p)]):
+            assert mpoly._packed_dot([(u._t, v._t) for u, v in pairs]) is not None
+            assert dot(pairs) == _pairwise(pairs)
 
     def test_substitution_by_zero(self):
         # y := 0 empties the factor table of every term that holds y.

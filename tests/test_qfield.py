@@ -2,7 +2,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qabel.qfield import (
     ONE,
@@ -250,6 +250,29 @@ class TestLaurentTimesGeneral:
         laurent, general = R([1, 0, -1]) * Q ** -2, R([1], [1, -1])
         assert laurent * general == general * laurent == R([1, 1]) * Q ** -2
         assert (laurent * general)._d == (1,)
+
+
+# Values with powers of q, Laurent and not.
+_shifted = st.builds(lambda r, k: r * Q ** k, qrats(), st.integers(-3, 3))
+
+
+@given(_shifted, _shifted, st.integers(-3, 3), _poly, _nonzero_poly)
+@example(R([1, 1, 0, 1], [0, 0, 1]), -R([1, 1], [0, 0, 1]), 2, [0, 0, 2], [0, 4])
+@example(R([1, 0, 2], [1, -1]), -R([1], [1, -1]), -1, [0, 0, -3], [0, -6, 3])
+def test_every_result_keeps_the_stored_form(r, s, m, num, den):
+    # The kernels split no power of q off their operands, so every value
+    # must store n(0) != 0, d(0) != 0 and a positive-led d; zero is
+    # (0, (), (1,)).
+    results = [QRat(num, den), r + s, r - s, r * s]
+    if not r.is_zero():
+        results += [r.inv(), r / r, r ** m]
+    if not s.is_zero():
+        results += [r / s]
+    for t in results:
+        if t.is_zero():
+            assert (t._v, t._n, t._d) == (0, (), (1,))
+        else:
+            assert t._n[0] != 0 and t._d[0] != 0 and t._d[-1] > 0
 
 
 @given(qrats(), qrats(allow_zero=False))

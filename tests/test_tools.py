@@ -30,16 +30,22 @@ def test_workloads_run_in_process(tool):
     assert any("--jobs" in argv for argv in paths.serial_argvs("verify-extended", 13))
 
 
+# An operand that carries a power of q is multiplied as it is, so the last
+# three cases, shifted forms of the monomial and window cases, take the
+# schoolbook sum.
 @pytest.mark.parametrize("f, g, path", [
     ((), (1, 2), "zero"),
     ((1,), (0, 3, 3), "unit"),
-    ((0, 0, 5), (1, 2, 3), "monomial"),
-    ((0, 7, 7, 7), (1, 2, 3, 4), "window"),
-    ((1, 2, 3), (0,) + (-4,) * 20, "window"),
+    ((5,), (1, 2, 3), "monomial"),
+    ((7, 7, 7), (1, 2, 3, 4), "window"),
+    ((1, 2, 3), (-4,) * 20, "window"),
     ((4, 4), (4, 4), "window"),
     ((1, 2), (3, 4, 5), "schoolbook"),
     (tuple(range(1, 9)), tuple(range(2, 12)), "word"),
     (tuple(range(1, 9)), (2**70,) + tuple(range(2, 12)), "bytes"),
+    ((0, 0, 5), (1, 2, 3), "schoolbook"),
+    ((0, 7, 7, 7), (1, 2, 3, 4), "schoolbook"),
+    ((1, 2, 3), (0,) + (-4,) * 20, "schoolbook"),
 ])
 def test_pmul_path_order(tool, f, g, path):
     assert tool("kernel_paths").path_of(f, g) == path

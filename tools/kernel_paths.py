@@ -14,9 +14,9 @@ the real functions, so outputs are unchanged.
 
     zero        an operand is ()
     unit        an operand is (1,)
-    monomial    one operand is c * q**k
-    window      one operand is c * q**k * [m], m equal coefficients
-    schoolbook  the shorter operand, q-power split off, is below _KRONECKER_MIN
+    monomial    one operand is a constant c
+    window      one operand is c * [m], m equal coefficients
+    schoolbook  the shorter operand is below _KRONECKER_MIN
     word        Kronecker with machine-word chunks, packed by `array`
     bytes       Kronecker with wider chunks, packed one coefficient at a time
 
@@ -97,7 +97,7 @@ def path_of(f, g) -> str:
         return "zero"
     if f == (1,) or g == (1,):
         return "unit"
-    f, g = sorted((f[qfield._valuation(f):], g[qfield._valuation(g):]), key=len)
+    f, g = sorted((f, g), key=len)
     if len(f) == 1:
         return "monomial"
     if f.count(f[0]) == len(f) or g.count(g[0]) == len(g):
@@ -158,7 +158,7 @@ def count(argvs) -> Counter:
         elif call["prs"]:
             path = "prs"
         elif not call["points"]:
-            fp, gp = (qfield._primitive(p[qfield._valuation(p):])[1] for p in (f, g))
+            fp, gp = (qfield._primitive(p)[1] for p in (f, g))
             path = "constant" if len(fp) == 1 or len(gp) == 1 else "equal"
         elif call["trivial"]:
             path = "trivial"
