@@ -22,8 +22,9 @@ The set: `verify` as text and as `--json` at the defaults, `verify --json
 every `lagrange` mode and built-in at 7 terms, seven `expand`s and two
 `eval`s (among them unary minus and `^` of a q-only base);
 then outputs whose coefficients carry a rational scalar beside a
-q-denominator, and larger `poly` and `lagrange` runs: every mode and
-built-in at 12 terms, `E_xz` at 14, and the series identities 1.5, 4.8,
+q-denominator, larger `poly` runs (A at 14 and 24, w at 12 and 24), a
+shifted `qpoch` expanded and evaluated, and larger `lagrange` runs: every
+mode and built-in at 12 terms, `E_xz` at 14, and the series identities 1.5, 4.8,
 4.13 and 3.3-vs-3.5 at `--max-n 9 --order 11`.  Last comes the error
 corpus: usage errors, parse errors, every message of an invalid function
 index, evaluation errors, inputs past the interpreter's depth limit, and
@@ -79,6 +80,8 @@ def commands() -> list[list[str]]:
     cmds += [["expand", "3/7*q^2*x^3 - 5/(2*q-4)*a*x"], ["expand", "(x + a)^4/(1-2*q)"],
              ["eval", "qfac(4)/(2-3*q) + x/6", "--q", "5/3", "--x", "1/2"]]
     cmds += [["poly", "A", "14"], ["poly", "w", "12"]]
+    cmds += [["poly", "A", "24"], ["poly", "w", "24"], ["expand", "qpoch(x + a*q, 6)"],
+             ["eval", "qpoch(x - a, 7)", "--q", "2/3", "--x", "3", "--a", "1/2"]]
     cmds += [["lagrange", "--mode", m, "--f", "E_xz", "--terms", "12"] for m in MODES]
     cmds += [["lagrange", "--mode", m, "--f", f, "--terms", "12"] for m in MODES for f in ("e_xz", "E_neg_yz", "z")]
     cmds += [["verify", "--json", "--max-n", "9", "--order", "11", "--id", "1.5", "--id", "4.8", "--id", "4.13",
