@@ -365,6 +365,11 @@ _SERIES = {
 _MODES = {"plain": "plain", "general": "general_b", "buermann": "buermann"}
 
 
+# The point options of `eval` and the one number form they take.
+_POINT_OPTIONS = ("--q", "--x", "--y", "--a", "--b")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -396,18 +401,34 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="exact rational evaluation of an expression")
     p_eval.add_argument("expression")
     p_eval.add_argument("--q", required=True)
-    for name in ("x", "y", "a", "b"):
-        p_eval.add_argument(f"--{name}")
+    for option in _POINT_OPTIONS[1:]:
+        p_eval.add_argument(option)
 
     sub.add_parser("list", help="list registered identities")
     return parser
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """argv with each `--x -2/3` written `--x=-2/3`.
+
+    argparse reads a token that starts with "-" as an option unless it looks
+    like a negative int or decimal, so a negative fraction given as its own
+    token would not reach its point option.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _POINT_OPTIONS and tok.startswith("-") and _RATIONAL.fullmatch(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
     # ASCII digits only, as in the tokenizer: Fraction() also reads decimals,
     # non-ASCII digits and exponents, building 10**10**7 in full for 1e10000000.
     try:
-        if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        if _RATIONAL.fullmatch(text):
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
@@ -488,7 +509,7 @@ def run_command(argv: list[str], stderr=None) -> tuple[str, int]:
     err = stderr if stderr is not None else sys.stderr
     parser = _build_arg_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_glue_negative_values(argv))
         return _DISPATCH[ns.command](ns)
     except SystemExit as exc:
         return "", int(exc.code or 0)

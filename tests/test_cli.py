@@ -231,6 +231,20 @@ class TestEvalCommand:
     def test_signed_rationals(self):
         assert run(["eval", "q*x", "--q=-2/4", "--x", "+3"]) == ("-3/2\n", 0, "")
 
+    # argparse takes a token that starts with "-" for an option unless it
+    # reads as a negative int or decimal; a negative fraction is a value too.
+    @pytest.mark.parametrize("argv", [["--x", "-2/3"], ["--x", "-3"], ["--x=-2/3"]],
+                             ids=["fraction", "integer", "equals"])
+    def test_negative_point_is_its_own_token(self, argv):
+        x0 = Fraction(argv[-1].split("=")[-1])
+        assert run(["eval", "x + a", "--q", "1", "--a", "1/6"] + argv) == (f"{x0 + Fraction(1, 6)}\n", 0, "")
+
+    def test_negative_q_is_its_own_token(self):
+        assert run(["eval", "q*x", "--q", "-2/3", "--x", "3"]) == ("-2\n", 0, "")
+
+    def test_option_like_value_is_still_refused(self):
+        assert run(["eval", "x", "--q", "1", "--x", "-foo"]) == ("", 2, "error: argument --x: expected one argument\n")
+
     def test_parse_error_offset(self):
         _, code, err = run(["eval", "x +", "--q", "1", "--x", "1"])
         assert code == 2 and "offset 3" in err

@@ -9,6 +9,10 @@ codec either: `mpoly` reaches the chunks only through the Laurent lane,
 the integer-polynomial kernels `_pmul`, `_pgcd`, `_heu_gcd` or `_prs_gcd`:
 they take operands with nonzero constant terms and split no power of q
 off, so only QRat, which keeps that power apart, calls them.
+
+One rule inside a module: qcomb's shifted product `qprod` and the atom
+coefficients `qprod_coeffs` it multiplies out name neither `qbinom` nor
+`qfac`, because the registry checks `qprod` against `qbinom`-weighted sums.
 """
 import ast
 from pathlib import Path
@@ -30,6 +34,9 @@ PRIVATE = {
 CHUNK_CODEC = ("_CODES", "_chunk_bytes", "_kpack", "_kdigits")
 # The integer-polynomial multiply and gcd of qfield.
 KERNELS = ("_pmul", "_pgcd", "_heu_gcd", "_prs_gcd")
+# The shifted product of qcomb and what it must not read.
+QPROD = ("qprod", "qprod_coeffs")
+GAUSSIAN = ("qbinom", "qfac")
 
 
 def _others(owner: str) -> list[Path]:
@@ -63,9 +70,17 @@ def test_no_qrat_storage_access_outside_qfield(path):
 _NAMED = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
-def _name_uses(path: Path, names: tuple[str, ...]) -> list[str]:
+def _functions(path: Path, funcs: tuple[str, ...]) -> list[ast.FunctionDef]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in funcs]
+
+
+def _name_uses(path: Path, names: tuple[str, ...], funcs: tuple[str, ...] = ()) -> list[str]:
+    """Each node of the module, or of its top-level functions `funcs` when
+    given, that names one of `names`."""
+    roots = _functions(path, funcs) if funcs else [ast.parse(path.read_text(), filename=str(path))]
     hits = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in (n for root in roots for n in ast.walk(root)):
         field = _NAMED.get(type(node))
         if field and getattr(node, field) in names:
             hits.append(f"{path.name}:{node.lineno}: {getattr(node, field)}")
@@ -88,3 +103,10 @@ def test_no_kernel_outside_qfield(path):
 
 def test_kernels_are_found_in_qfield():
     assert {h.rsplit(" ", 1)[1] for h in _name_uses(SRC / "qfield.py", KERNELS)} == set(KERNELS)
+
+
+def test_qprod_names_no_gaussian_binomial():
+    assert sorted(f.name for f in _functions(SRC / "qcomb.py", QPROD)) == sorted(QPROD)
+    assert _name_uses(SRC / "qcomb.py", GAUSSIAN, QPROD) == []
+    # elsewhere in qcomb both names are in use, so the walk would see them
+    assert {h.rsplit(" ", 1)[1] for h in _name_uses(SRC / "qcomb.py", GAUSSIAN)} == set(GAUSSIAN)

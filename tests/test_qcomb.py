@@ -1,12 +1,19 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from qabel.mpoly import MPoly, Symbol
-from qabel.qcomb import binom2, exp_coeffs, exp_powers, qbinom, qfac, qint, qpoch, qpow, qprod
+from qabel.qcomb import (
+    binom2, exp_coeffs, exp_powers, powers, qbinom, qfac, qint, qpoch, qpow, qprod, qprod_coeffs,
+)
 from qabel.qfield import ONE, QRat
 
 X = MPoly.var(Symbol.x)
 Y = MPoly.var(Symbol.y)
+A = MPoly.var(Symbol.a)
+B = MPoly.var(Symbol.b)
 
 
 def poly(*coeffs):
@@ -102,6 +109,11 @@ class TestExpWeight:
         assert big[3] == ((X + Y) ** 3).scale(qpow(3))
         assert [p.scale(qfac(k).inv()) for k, p in enumerate(big)] == exp_coeffs("big_E", X + Y, 4)
 
+    def test_powers_multiply_up(self):
+        assert powers(X + Y, 0) == [MPoly.one()]
+        assert powers(X - Y, 3) == [MPoly.one(), X - Y, (X - Y) ** 2, (X - Y) ** 3]
+        assert powers(MPoly.zero(), 2) == [MPoly.one(), MPoly.zero(), MPoly.zero()]
+
     def test_coeffs_are_weighted_powers(self):
         cs = exp_coeffs("big_E", X + Y, 4)
         assert len(cs) == 5
@@ -109,7 +121,71 @@ class TestExpWeight:
         assert cs[3] == ((X + Y) ** 3).scale(qpow(3) * qfac(3).inv())
 
 
+def _qprod_by_factors(y, x, n, sign):
+    """The shifted product multiplied out one linear factor at a time."""
+    step = x if sign == "plus" else -x
+    out = MPoly.one()
+    for j in range(n):
+        out = out * (y + step.scale(qpow(j)))
+    return out
+
+
+# Operands of every shape the product meets: zero, a constant, a monomial,
+# two- and three-term sums (one with a negative power of q), and a sum whose
+# coefficient 1/(1+q) is not a Laurent polynomial.
+OPERANDS = {
+    "zero": MPoly.zero(),
+    "const": MPoly.const(Fraction(-3, 2)),
+    "monomial": (X * A).scale(qpow(2)),
+    "two-term": X + A.scale(poly(0, 1)),
+    "three-term": Y - X.scale(2) + B.scale(qpow(-1)),
+    "non-laurent": A.scale(ONE / poly(1, 1)) + B,
+}
+OPERAND_PAIRS = [(ny, nx) for ny in OPERANDS for nx in OPERANDS]
+
+
 class TestQProd:
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_factor_by_factor(self, n, sign):
+        for ny, nx in OPERAND_PAIRS:
+            y, x = OPERANDS[ny], OPERANDS[nx]
+            assert qprod(y, x, n, sign) == _qprod_by_factors(y, x, n, sign), (ny, nx)
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_fraction_product_at_points(self, n, sign):
+        rng = random.Random(f"qprod:{n}:{sign}")
+        for ny, nx in OPERAND_PAIRS:
+            y, x = OPERANDS[ny], OPERANDS[nx]
+            p = qprod(y, x, n, sign)
+            for _ in range(3):
+                q0 = rng.choice([-1, 1]) * Fraction(rng.randint(2, 9), rng.randint(1, 9))
+                if q0 == -1:  # the pole of 1/(1+q)
+                    q0 = Fraction(-1, 2)
+                point = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for s in Symbol}
+                y0, x0 = y.eval_at(q0, point), x.eval_at(q0, point)
+                expected = Fraction(1)
+                for j in range(n):
+                    expected *= y0 + q0 ** j * x0 if sign == "plus" else y0 - q0 ** j * x0
+                assert p.eval_at(q0, point) == expected, (ny, nx, q0)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_atom_coefficients_follow_the_q_binomial_theorem(self, n):
+        # (Y + X)(Y + qX)...(Y + q^(n-1)X) = sum_k q^(k choose 2) [n k] X^k Y^(n-k):
+        # the Gaussian binomial is the oracle here, never inside qprod
+        assert qprod_coeffs(n) == tuple(qpow(binom2(k)) * qbinom(n, k) for k in range(n + 1))
+
+    def test_negative_length(self):
+        with pytest.raises(ValueError):
+            qprod_coeffs(-1)
+        with pytest.raises(ValueError):
+            qprod(Y, X, -1)
+
+    def test_unknown_sign(self):
+        with pytest.raises(ValueError):
+            qprod(Y, X, 2, "times")
+
     def test_empty(self):
         assert qprod(Y, X, 0, "plus") == MPoly.one()
 
