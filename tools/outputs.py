@@ -25,7 +25,10 @@ then outputs whose coefficients carry a rational scalar beside a
 q-denominator, larger `poly` runs (A at 14 and 24, w at 12 and 24), a
 shifted `qpoch` expanded and evaluated, and larger `lagrange` runs: every
 mode and built-in at 12 terms, `E_xz` at 14, and the series identities 1.5, 4.8,
-4.13 and 3.3-vs-3.5 at `--max-n 9 --order 11`.  Last comes the error
+4.13 and 3.3-vs-3.5 at `--max-n 9 --order 11`; every mode of `z` and
+`E_neg_yz` at 16 terms, the benchmark's x-degree-14 `expand` (seed 0 of
+`perfbench/workloads.py`'s `seeded_polynomial`) and an `expand` whose
+coefficients carry q-denominators.  Last comes the error
 corpus: usage errors, parse errors, every message of an invalid function
 index, evaluation errors, inputs past the interpreter's depth limit, and
 an index and an exponent too large for a tuple's length, each of which
@@ -49,6 +52,14 @@ BUILTINS = ("e_xz", "E_xz", "E_neg_yz", "z")
 EXPANDS = (
     "x^3", "(x + a)^3", "qbinom(4,2)*x^2 + a*x", "x^4/(1-q)", "G(3) + 2*x", "w(2) - x*qpoch(a,3)",
     "-(x - a)^3 + (1 - q)^2*x",
+)
+# seeded_polynomial(0, 14) of perfbench/workloads.py, the expand-lagrange workload's input
+SEEDED_EXPAND = (
+    "-9*a^2 + 4*q^3 - 6*q^3*x + 7*q^3*a^2*b^2*x - 8*a*x^2 - 7*q^3*a*x^2 + 8*q*a*b*x^3 + 7*q^2*a^2*x^3"
+    " - 8*q^2*a*b^2*x^4 - 1*a^2*b*x^4 - 2*q^2*a^2*b^2*x^5 + 9*q^3*b*x^5 + 7*q^3*a*b*x^6 + 4*q^2*a*b*x^6"
+    " + 1*a^2*x^7 + 3*q*a^2*x^7 + 4*q^2*b^2*x^8 - 8*q^2*a*b*x^8 + 9*a*b*x^9 - 9*q^2*b*x^9 + 9*q*b^2*x^10"
+    " + 8*q^3*b*x^10 - 8*q^2*a*x^11 + 7*q^3*a*b*x^11 - 3*q*a*x^12 - 3*a*b*x^12 + 8*a^2*b*x^13"
+    " + 9*q^3*a*b^2*x^13 + 4*q^2*a*b*x^14 - 4*q^2*a^2*x^14"
 )
 USAGE_ERRORS = (
     [], ["frobnicate"], ["verify", "--order", "x"], ["verify", "--jobs", "0"], ["verify", "--max-n", "-1"],
@@ -87,6 +98,8 @@ def commands() -> list[list[str]]:
     cmds += [["verify", "--json", "--max-n", "9", "--order", "11", "--id", "1.5", "--id", "4.8", "--id", "4.13",
               "--id", "3.3-vs-3.5"]]
     cmds += [["lagrange", "--mode", m, "--f", "E_xz", "--terms", "14"] for m in MODES]
+    cmds += [["lagrange", "--mode", m, "--f", f, "--terms", "16"] for m in MODES for f in ("z", "E_neg_yz")]
+    cmds += [["expand", SEEDED_EXPAND], ["expand", "x^9*a/(q^2+1) - 3*q*x^4*b + 1/q"]]
     cmds += [list(c) for c in USAGE_ERRORS] + [["expand", e] for e in PARSE_ERRORS + INDEX_ERRORS]
     cmds += [list(c) for c in EVAL_ERRORS]
     cmds += [c + ["--jobs", "2"] for c in cmds if c[:2] == ["verify", "--json"]]
