@@ -14,9 +14,8 @@ from enum import Enum
 from functools import lru_cache
 from .mpoly import A, B, MPoly, Symbol, X, dot
 from .operators import L_functional, V_op, qderiv
-from .qcomb import binom2, exp_powers, qfac, qint, qpow, qprod, shift_a, shift_g
-from .qfield import ONE as QR_ONE
-from .series import PowerSeries, conv_at
+from .qcomb import binom2, powers, qbinom, qfac, qint, qpow, qprod, shift_a, shift_g
+from .series import PowerSeries
 
 
 class OrderTooSmall(ValueError):
@@ -79,8 +78,10 @@ class AbelCoefficients:
 def abel_expand(f: MPoly) -> AbelCoefficients:
     """Expand f in the G basis via q-derivative evaluations at shifted points.
 
-    Coefficient k reads off q^-(k choose 2)/[k]! times the k-th q-derivative
-    of f at x = q^-k (b + [k] a).
+    Coefficient k reads off q^-(k choose 2) times the divided derivative
+    d_k = D^k f/[k]! at x = q^-k (b + [k] a).  d_k is carried from d_(k-1)
+    as D(d_(k-1)) / [k], which sends the term x^e of f to [e k] x^(e-k):
+    each step is exact, and d_k stays in Z[q, 1/q] when f does.
     """
     if not f.free_of(Symbol.y, Symbol.t):
         raise ValueError("polynomial to expand must be free of y and t")
@@ -88,10 +89,9 @@ def abel_expand(f: MPoly) -> AbelCoefficients:
     dk = f
     for k in range(f.degree_in(Symbol.x) + 1):
         if k:
-            dk = qderiv(dk, Symbol.x, 1)
+            dk = qderiv(dk, Symbol.x, 1).scale(qint(k).inv())
         point = shift_g(k).scale(qpow(-k))
-        c = dk.subst(Symbol.x, point).scale(qpow(-binom2(k)) * qfac(k).inv())
-        coeffs.append(c)
+        coeffs.append(dk.subst(Symbol.x, point).scale(qpow(-binom2(k))))
     return AbelCoefficients(FamilyId.G, tuple(coeffs))
 
 
@@ -106,15 +106,10 @@ def lagrange_shift(mode: str, n: int) -> MPoly:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _factorial_scaled_exp(s: MPoly, n: int) -> list[MPoly]:
-    """[n]! times the z^0 .. z^n coefficients of e(s z): the terms
-    ([n]!/[k]!) s^k, whose weights [k+1][k+2]...[n] are polynomials in q."""
-    out = exp_powers("small_e", s, n)
-    w = QR_ONE
-    for k in range(n, -1, -1):
-        out[k] = out[k].scale(w)
-        w = w * qint(k)
-    return out
+def _binomial_sum(s: MPoly, F: list[MPoly], m: int, lift: int) -> MPoly:
+    """The sum over k <= m of [m k] s^k F[m - k + lift], as one `dot`."""
+    ps = powers(s, m)
+    return dot((ps[k].scale(qbinom(m, k)), F[m - k + lift]) for k in range(m + 1))
 
 
 def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
@@ -126,24 +121,26 @@ def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
     buermann:  c_n reads [n]! times the z^n coefficient of
                e(-(q^n b + [n]a)/q z) f(z); expands f(z)/(1 + a z / q).
 
-    The factorial goes into the exponential's coefficients before the
-    convolution, so they stay free of 1/[k]!.
+    With F_j = [j]! f_j, so that [j]! (Df)_j = F_(j+1), and 1/([k]! [m-k]!)
+    = [m k]/[m]!, every factorial cancels: for s = -shift_n and m = n - 1,
+    plain takes c_n = sum_(k <= m) [m k] s^k F_(m-k+1); general_b subtracts
+    b q^m sum_(k <= m) [m k] (s/q)^k F_(m-k); buermann takes c_n =
+    sum_(k <= n) [n k] s^k F_(n-k).  Each sum stays in Z[q, 1/q] when f's
+    coefficients times [j]! do.
     """
     if mode not in ("plain", "general_b", "buermann"):
         raise ValueError(f"unknown mode {mode!r}")
     if f.order < order:
         raise OrderTooSmall(f"series order {f.order} below requested {order}")
-    fc = f.coeffs
-    fd = f.q_derivative().coeffs
-    out = [fc[0]]
+    F = [c.scale(qfac(j)) for j, c in enumerate(f.coeffs[:order + 1])]
+    out = [F[0]]
     for n in range(1, order + 1):
-        s = lagrange_shift(mode, n)
+        s = -lagrange_shift(mode, n)
         if mode == "buermann":
-            out.append(conv_at(_factorial_scaled_exp(-s, n), fc, n))
+            out.append(_binomial_sum(s, F, n, 0))
             continue
-        c = conv_at(_factorial_scaled_exp(-s, n - 1), fd, n - 1)
+        c = _binomial_sum(s, F, n - 1, 1)
         if mode == "general_b":
-            e2 = _factorial_scaled_exp(-s.scale(qpow(-1)), n - 1)
-            c = c - (B * conv_at(e2, fc, n - 1)).scale(qpow(n - 1))
+            c = c - (B * _binomial_sum(s.scale(qpow(-1)), F, n - 1, 0)).scale(qpow(n - 1))
         out.append(c)
     return out

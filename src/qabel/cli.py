@@ -424,6 +424,24 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _expression_last(argv: list[str]) -> list[str]:
+    """argv with an `expand` or `eval` expression that starts with "-" moved
+    behind a "--" at the end.
+
+    argparse reads such a token as an option unless it holds a blank or
+    reads as a negative number, so `expand -x^2` would lack its expression.
+    Left alone: "-h", long options, the value of a point option, and an
+    argv that already holds "--".
+    """
+    if argv[:1] not in (["expand"], ["eval"]) or "--" in argv:
+        return argv
+    moved = [i for i in range(1, len(argv)) if argv[i].startswith("-") and not argv[i].startswith("--")
+             and argv[i] != "-h" and argv[i - 1] not in _POINT_OPTIONS]
+    if not moved:
+        return argv
+    return [tok for i, tok in enumerate(argv) if i not in moved] + ["--"] + [argv[i] for i in moved]
+
+
 def _parse_rational(text: str, what: str) -> Fraction:
     # ASCII digits only, as in the tokenizer: Fraction() also reads decimals,
     # non-ASCII digits and exponents, building 10**10**7 in full for 1e10000000.
@@ -509,7 +527,7 @@ def run_command(argv: list[str], stderr=None) -> tuple[str, int]:
     err = stderr if stderr is not None else sys.stderr
     parser = _build_arg_parser()
     try:
-        ns = parser.parse_args(_glue_negative_values(argv))
+        ns = parser.parse_args(_expression_last(_glue_negative_values(argv)))
         return _DISPATCH[ns.command](ns)
     except SystemExit as exc:
         return "", int(exc.code or 0)

@@ -206,35 +206,34 @@ class MPoly:
     def subst_many(self, assignment: dict[Symbol, object]) -> MPoly:
         """Simultaneous substitution of several symbols.
 
-        The product of the substituted powers is built once per combination
-        of their exponents, and each term's product with it is added into the
-        result's term table.
+        Grouping the terms by their exponents es in the substituted symbols
+        writes the polynomial as the sum over es of rest_es times the product
+        of s^e over those symbols; the result is one `dot` of (rest_es, the
+        product of value^e), so it takes the packed lane when every
+        coefficient is Laurent.  Each power of a value is built once.
         """
         vals = {}
         for s, v in assignment.items():
             vals[s.value] = v if isinstance(v, MPoly) else MPoly.const(_as_coeff(v))
-        out: dict[tuple, QRat] = {}
-        powers: dict[tuple[int, int], MPoly] = {}
-        factors: dict[tuple, MPoly | None] = {}
+        groups: dict[tuple, dict] = {}
         for k, c in self._t.items():
-            es = tuple(k[i] for i in vals)
-            if es in factors:
-                factor = factors[es]
-            else:
-                factor = None
-                for i, e in zip(vals, es):
-                    if e:
-                        p = powers.get((i, e))
-                        if p is None:
-                            p = powers[(i, e)] = vals[i] ** e
-                        factor = p if factor is None else factor * p
-                factors[es] = factor
             rest = list(k)
             for i in vals:
                 rest[i] = 0
-            term = {tuple(rest): c}
-            _collect(out, (term if factor is None else _product(term, factor._t)).items())
-        return MPoly._raw(out)
+            groups.setdefault(tuple(k[i] for i in vals), {})[tuple(rest)] = c
+        powers: dict[tuple[int, int], MPoly] = {}
+
+        def factor(es: tuple) -> MPoly:
+            out = _ONE
+            for i, e in zip(vals, es):
+                if e:
+                    p = powers.get((i, e))
+                    if p is None:
+                        p = powers[(i, e)] = vals[i] ** e
+                    out = p if out is _ONE else out * p
+            return out
+
+        return dot((MPoly._raw(rest), factor(es)) for es, rest in groups.items())
 
     def eval_q1(self) -> MPoly:
         """Specialize every coefficient at q = 1; raises PoleAtPoint on a pole."""

@@ -3,8 +3,12 @@ import random
 import pytest
 
 from helpers import (
+    abel_expand_reference,
     eval_functional,
+    lagrange_reference,
     random_q_monomial_poly,
+    random_rational_poly,
+    random_series,
     triangular_expand,
     triangular_series_coeffs,
 )
@@ -19,7 +23,7 @@ from qabel.abel import (
 )
 from qabel.mpoly import MPoly, Symbol
 from qabel.operators import V_op
-from qabel.qcomb import qint, qpow, qprod
+from qabel.qcomb import qbinom, qint, qpow, qprod
 from qabel.qfield import QRat
 from qabel.series import PowerSeries, abel_sum, ps_exp
 
@@ -206,3 +210,39 @@ class TestLagrangeBuermann:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             lagrange_coeffs(PowerSeries.constant(1, 2), "sideways", 2)
+
+
+MODES = ("plain", "general_b", "buermann")
+
+
+class TestFractionFree:
+    """The fraction-free sums against the formulas that divide by [k]!."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("series", [
+        lambda n: ps_exp("small_e", X, n), lambda n: ps_exp("big_E", X, n), lambda n: ps_exp("big_E", -Y, n),
+        lambda n: PowerSeries.monomial(1, n),
+    ], ids=["e_xz", "E_xz", "E_neg_yz", "z"])
+    def test_lagrange_matches_reference(self, mode, series):
+        f = series(8)
+        assert lagrange_coeffs(f, mode, 8) == lagrange_reference(f, mode, 8)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lagrange_q_denominators_match_reference(self, mode, seed):
+        f = random_series(random.Random(seed), 6)
+        assert lagrange_coeffs(f, mode, 5) == lagrange_reference(f, mode, 5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_expand_matches_reference(self, seed):
+        f = random_rational_poly(random.Random(seed), (Symbol.x, Symbol.a, Symbol.b), max_deg=5)
+        closed = abel_expand(f)
+        assert list(closed.coeffs) == abel_expand_reference(f)
+        assert closed.reconstruct() == f
+
+    def test_expand_reads_no_gaussian_binomial(self):
+        # qbinom fills its cache by recursion, so a high x-degree must not reach it
+        before = qbinom.cache_info()
+        abel_expand(X ** 23 + A * X ** 17)
+        after = qbinom.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)

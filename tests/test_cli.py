@@ -263,6 +263,26 @@ class TestExpandCommand:
         _, code, err = run(["expand", "y + x"])
         assert code == 2 and err
 
+    # argparse takes a token that starts with "-" and holds no blank for an
+    # option; an expression that starts with "-" still reaches the command.
+    def test_leading_minus(self):
+        out, code, err = run(["expand", "-x^2"])
+        assert (code, err) == (0, "")
+        assert out == run(["expand", "-1*x^2"])[0] == run(["expand", "--", "-x^2"])[0]
+        assert out.splitlines()[2] == "2: -1/q"
+
+    def test_leading_minus_eval(self):
+        assert run(["eval", "-x", "--q", "1", "--x", "2"]) == ("-2\n", 0, "")
+        assert run(["eval", "--q", "1", "-x", "--x", "-2/3"]) == ("2/3\n", 0, "")
+        assert run(["eval", "-(x - a)^2", "--x=-1", "--q", "2", "--a", "1"]) == ("-4\n", 0, "")
+
+    def test_leading_minus_keeps_options(self, capsys):
+        for argv in (["expand", "-h"], ["expand", "--help"], ["eval", "-h"]):
+            assert run(argv) == ("", 0, "")
+            assert capsys.readouterr().out.startswith("usage: qabel " + argv[0])
+        assert run(["expand", "-x", "-y"]) == ("", 2, "error: unrecognized arguments: -y\n")
+        assert run(["eval", "-x", "--q", "1", "--x", "-foo"]) == ("", 2, "error: argument --x: expected one argument\n")
+
 
 class TestLagrangeCommand:
     def test_plain_on_exp(self):

@@ -10,9 +10,12 @@ the integer-polynomial kernels `_pmul`, `_pgcd`, `_heu_gcd` or `_prs_gcd`:
 they take operands with nonzero constant terms and split no power of q
 off, so only QRat, which keeps that power apart, calls them.
 
-One rule inside a module: qcomb's shifted product `qprod` and the atom
+Two rules inside a module.  qcomb's shifted product `qprod` and the atom
 coefficients `qprod_coeffs` it multiplies out name neither `qbinom` nor
 `qfac`, because the registry checks `qprod` against `qbinom`-weighted sums.
+And abel's `abel_expand` does not name `qbinom`: `qbinom` fills its cache by
+recursion, so an x-degree past the recursion limit would end in "nested too
+deeply" where it now ends in "exponent too large".
 """
 import ast
 from pathlib import Path
@@ -110,3 +113,10 @@ def test_qprod_names_no_gaussian_binomial():
     assert _name_uses(SRC / "qcomb.py", GAUSSIAN, QPROD) == []
     # elsewhere in qcomb both names are in use, so the walk would see them
     assert {h.rsplit(" ", 1)[1] for h in _name_uses(SRC / "qcomb.py", GAUSSIAN)} == set(GAUSSIAN)
+
+
+def test_abel_expand_names_no_gaussian_binomial():
+    assert [f.name for f in _functions(SRC / "abel.py", ("abel_expand",))] == ["abel_expand"]
+    assert _name_uses(SRC / "abel.py", ("qbinom",), ("abel_expand",)) == []
+    # lagrange_coeffs' sums do read it, so the walk would see it
+    assert _name_uses(SRC / "abel.py", ("qbinom",)) != []

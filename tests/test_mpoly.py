@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from helpers import random_rational_poly, subst_reference
 from qabel import mpoly
 from qabel.mpoly import MPoly, Monomial, Symbol, dot, mp_arith, mp_coeffs_in, mp_eval_q1, mp_subst
 from qabel.qcomb import qint
@@ -149,6 +151,40 @@ class TestSubst:
         p = A + B
         out = p.subst_many({Symbol.a: A.scale(Q), Symbol.b: B + A})
         assert out == A.scale(Q) + B + A
+
+
+class TestSubstManyReference:
+    """subst_many's one `dot` against term-by-term substitution."""
+
+    P = dot([(X ** 2 + A * Y, B.scale(qp(-1)) + X), (A ** 2, X * Y.scale(3)), (B, MPoly.const(7))])
+
+    def test_several_symbols_at_once(self):
+        assignment = {Symbol.x: A + B.scale(Q), Symbol.a: X.scale(qp(-2)) - Y, Symbol.b: A * B}
+        assert self.P.subst_many(assignment) == subst_reference(self.P, assignment)
+
+    def test_zero_and_constant(self):
+        for assignment in ({Symbol.x: MPoly.zero()}, {Symbol.y: 0, Symbol.b: Fraction(-2, 3)},
+                           {Symbol.x: QRat([1, 1]), Symbol.a: MPoly.zero()}):
+            assert self.P.subst_many(assignment) == subst_reference(self.P, assignment)
+
+    def test_value_with_q_denominator(self):
+        # not Laurent, so the dot is formed on QRat values
+        assignment = {Symbol.x: A.scale(QRat([1], [1, 0, 1])) + B, Symbol.y: MPoly.const(QRat([2], [3, -1]))}
+        assert self.P.subst_many(assignment) == subst_reference(self.P, assignment)
+
+    def test_random_rational_polynomials(self):
+        rng = random.Random(5)
+        for _ in range(5):
+            p = random_rational_poly(rng, (Symbol.x, Symbol.y, Symbol.a))
+            assignment = {Symbol.x: random_rational_poly(rng, (Symbol.a, Symbol.b), 2, 2),
+                          Symbol.a: random_rational_poly(rng, (Symbol.x,), 1, 2)}
+            assert p.subst_many(assignment) == subst_reference(p, assignment)
+
+
+@given(mpolys(), mpolys(), mpolys())
+def test_subst_many_matches_term_by_term(p, u, v):
+    assignment = {Symbol.x: u, Symbol.b: v}
+    assert p.subst_many(assignment) == subst_reference(p, assignment)
 
 
 class TestEvalQ1:

@@ -28,7 +28,9 @@ mode and built-in at 12 terms, `E_xz` at 14, and the series identities 1.5, 4.8,
 4.13 and 3.3-vs-3.5 at `--max-n 9 --order 11`; every mode of `z` and
 `E_neg_yz` at 16 terms, the benchmark's x-degree-14 `expand` (seed 0 of
 `perfbench/workloads.py`'s `seeded_polynomial`) and an `expand` whose
-coefficients carry q-denominators.  Last comes the error
+coefficients carry q-denominators; and an `expand` and an `eval` whose
+expression starts with "-", given as its own token and, for `expand`, also
+behind "--".  Last comes the error
 corpus: usage errors, parse errors, every message of an invalid function
 index, evaluation errors, inputs past the interpreter's depth limit, and
 an index and an exponent too large for a tuple's length, each of which
@@ -100,6 +102,7 @@ def commands() -> list[list[str]]:
     cmds += [["lagrange", "--mode", m, "--f", "E_xz", "--terms", "14"] for m in MODES]
     cmds += [["lagrange", "--mode", m, "--f", f, "--terms", "16"] for m in MODES for f in ("z", "E_neg_yz")]
     cmds += [["expand", SEEDED_EXPAND], ["expand", "x^9*a/(q^2+1) - 3*q*x^4*b + 1/q"]]
+    cmds += [["expand", "-x^2"], ["expand", "--", "-x^2"], ["eval", "-x", "--q", "1", "--x", "2"]]
     cmds += [list(c) for c in USAGE_ERRORS] + [["expand", e] for e in PARSE_ERRORS + INDEX_ERRORS]
     cmds += [list(c) for c in EVAL_ERRORS]
     cmds += [c + ["--jobs", "2"] for c in cmds if c[:2] == ["verify", "--json"]]
