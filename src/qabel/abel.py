@@ -106,12 +106,6 @@ def lagrange_shift(mode: str, n: int) -> MPoly:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _binomial_sum(s: MPoly, F: list[MPoly], m: int, lift: int) -> MPoly:
-    """The sum over k <= m of [m k] s^k F[m - k + lift], as one `dot`."""
-    ps = powers(s, m)
-    return dot((ps[k].scale(qbinom(m, k)), F[m - k + lift]) for k in range(m + 1))
-
-
 def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
     """Coefficients c_0..c_order of the expansion of f over z^n E(shift_n z).
 
@@ -122,25 +116,23 @@ def lagrange_coeffs(f: PowerSeries, mode: str, order: int) -> list[MPoly]:
                e(-(q^n b + [n]a)/q z) f(z); expands f(z)/(1 + a z / q).
 
     With F_j = [j]! f_j, so that [j]! (Df)_j = F_(j+1), and 1/([k]! [m-k]!)
-    = [m k]/[m]!, every factorial cancels: for s = -shift_n and m = n - 1,
-    plain takes c_n = sum_(k <= m) [m k] s^k F_(m-k+1); general_b subtracts
-    b q^m sum_(k <= m) [m k] (s/q)^k F_(m-k); buermann takes c_n =
-    sum_(k <= n) [n k] s^k F_(n-k).  Each sum stays in Z[q, 1/q] when f's
-    coefficients times [j]! do.
+    = [m k]/[m]!, every factorial cancels: for s = -shift_n, c_n is the one
+    sum over k <= m of [m k] s^k H_(m-k).  plain takes m = n - 1 and
+    H_j = F_(j+1); general_b the same m and H_j = F_(j+1) - b q^j F_j, its
+    term b q^m (s/q)^k F_(m-k) moved into H; buermann m = n and H_j = F_j.
+    Each sum stays in Z[q, 1/q] when every F_j does.
     """
     if mode not in ("plain", "general_b", "buermann"):
         raise ValueError(f"unknown mode {mode!r}")
     if f.order < order:
         raise OrderTooSmall(f"series order {f.order} below requested {order}")
     F = [c.scale(qfac(j)) for j, c in enumerate(f.coeffs[:order + 1])]
+    H, lift = (F, 0) if mode == "buermann" else (F[1:], 1)
+    if mode == "general_b":
+        H = [h - (B * F[j]).scale(qpow(j)) for j, h in enumerate(H)]
     out = [F[0]]
     for n in range(1, order + 1):
-        s = -lagrange_shift(mode, n)
-        if mode == "buermann":
-            out.append(_binomial_sum(s, F, n, 0))
-            continue
-        c = _binomial_sum(s, F, n - 1, 1)
-        if mode == "general_b":
-            c = c - (B * _binomial_sum(s.scale(qpow(-1)), F, n - 1, 0)).scale(qpow(n - 1))
-        out.append(c)
+        m = n - lift
+        ps = powers(-lagrange_shift(mode, n), m)
+        out.append(dot((ps[k].scale(qbinom(m, k)), H[m - k]) for k in range(m + 1)))
     return out
