@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from .mpoly import A, B, MPoly, Symbol, X, dot
-from .operators import L_functional, V_op, qderiv
+from .operators import L_functional, V_op, divided_derivative
 from .qcomb import binom2, powers, qbinom, qfac, qint, qpow, qprod, shift_a, shift_g
 from .series import PowerSeries
 
@@ -79,19 +79,15 @@ def abel_expand(f: MPoly) -> AbelCoefficients:
     """Expand f in the G basis via q-derivative evaluations at shifted points.
 
     Coefficient k reads off q^-(k choose 2) times the divided derivative
-    d_k = D^k f/[k]! at x = q^-k (b + [k] a).  d_k is carried from d_(k-1)
-    as D(d_(k-1)) / [k], which sends the term x^e of f to [e k] x^(e-k):
-    each step is exact, and d_k stays in Z[q, 1/q] when f does.
+    D^k f/[k]! at x = q^-k (b + [k] a).  The divided derivative sends the
+    term x^e of f to [e k] x^(e-k), so it stays in Z[q, 1/q] when f does.
     """
     if not f.free_of(Symbol.y, Symbol.t):
         raise ValueError("polynomial to expand must be free of y and t")
     coeffs = []
-    dk = f
     for k in range(f.degree_in(Symbol.x) + 1):
-        if k:
-            dk = qderiv(dk, Symbol.x, 1).scale(qint(k).inv())
         point = shift_g(k).scale(qpow(-k))
-        coeffs.append(dk.subst(Symbol.x, point).scale(qpow(-binom2(k))))
+        coeffs.append(divided_derivative(f, Symbol.x, k).subst(Symbol.x, point).scale(qpow(-binom2(k))))
     return AbelCoefficients(FamilyId.G, tuple(coeffs))
 
 

@@ -15,9 +15,9 @@ N = n(2**W) in `qfield`'s Kronecker chunks with a shift for its power of q
 (`_laurent_pack`, `_laurent_unpack`), and forms every term-pair product
 and sum on those integers.  W is the smallest machine word that holds
 every coefficient of every partial sum (`qfield._laurent_word`); when some
-coefficient is not Laurent, or no word is wide enough, the sum is formed on
-QRat values instead.  A single product always is: packing its coefficients
-costs as much as the few products it would serve.
+coefficient is not Laurent, or no word is wide enough, the term-pair
+products are formed on QRat values into one table instead.  A single product
+always is: packing its coefficients costs as much as the products it serves.
 """
 from __future__ import annotations
 
@@ -210,7 +210,9 @@ class MPoly:
         writes the polynomial as the sum over es of rest_es times the product
         of s^e over those symbols; the result is one `dot` of (rest_es, the
         product of value^e), so it takes the packed lane when every
-        coefficient is Laurent.  Each power of a value is built once.
+        coefficient is Laurent.  Each value's powers are built at the exponents
+        that occur, in ascending order, each from the last as p * value^gap:
+        a gap of one costs one product, and `**` keeps a huge gap cheap.
         """
         vals = {}
         for s, v in assignment.items():
@@ -222,15 +224,18 @@ class MPoly:
                 rest[i] = 0
             groups.setdefault(tuple(k[i] for i in vals), {})[tuple(rest)] = c
         powers: dict[tuple[int, int], MPoly] = {}
+        for j, (i, v) in enumerate(vals.items()):
+            p, last = _ONE, 0
+            for e in sorted({es[j] for es in groups} - {0}):
+                step = v ** (e - last)
+                p = step if p is _ONE else p * step
+                powers[i, e], last = p, e
 
         def factor(es: tuple) -> MPoly:
             out = _ONE
             for i, e in zip(vals, es):
                 if e:
-                    p = powers.get((i, e))
-                    if p is None:
-                        p = powers[(i, e)] = vals[i] ** e
-                    out = p if out is _ONE else out * p
+                    out = powers[i, e] if out is _ONE else out * powers[i, e]
             return out
 
         return dot((MPoly._raw(rest), factor(es)) for es, rest in groups.items())
@@ -345,15 +350,6 @@ def _collect(out: dict, pairs: Iterable[tuple[tuple, QRat]]) -> dict:
     return out
 
 
-def _product(t1: dict, t2: dict) -> dict:
-    """The term table of the product of two nonzero term tables."""
-    return _collect({}, (
-        (tuple(map(add, k1, k2)), c1 * c2)
-        for k1, c1 in t1.items()
-        for k2, c2 in t2.items()
-    ))
-
-
 def _packed_dot(tables: list[tuple[dict, dict]]) -> dict | None:
     """The term table of the sum of the products of the nonzero (u, v) term
     tables, formed on packed Laurent coefficients; None when a coefficient
@@ -391,19 +387,17 @@ def dot(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
     """The sum of u * v over the (u, v) pairs.
 
     Two or more nonzero pairs go through `_packed_dot` when it applies.
-    Otherwise, and for a single product, each product is formed in its own
-    term table, then added whole into the running table, in order.
+    Otherwise, and for a single product, every term-pair product of every
+    pair is added into one term table, in order; a sum of exact values does
+    not depend on the order of its terms.
     """
     tables = [(u._t, v._t) for u, v in pairs if u._t and v._t]
     if len(tables) > 1:
         out = _packed_dot(tables)
         if out is not None:
             return MPoly._raw(out)
-    out = {}
-    for tu, tv in tables:
-        p = _product(tu, tv)
-        out = _collect(out, p.items()) if out else p
-    return MPoly._raw(out)
+    return MPoly._raw(_collect({}, ((tuple(map(add, k1, k2)), c1 * c2)
+                                    for tu, tv in tables for k1, c1 in tu.items() for k2, c2 in tv.items())))
 
 
 def _as_mpoly(v) -> MPoly:

@@ -40,6 +40,11 @@ def qderiv(p: MPoly, v: Symbol, k: int = 1) -> MPoly:
     return p.map_in(v, factor, lower=k)
 
 
+def divided_derivative(p: MPoly, v: Symbol, k: int) -> MPoly:
+    """The divided power D^k p / [k]! in v, which sends v^e to [e k] v^(e-k)."""
+    return p.map_in(v, lambda e: qbinom(e, k), lower=k)
+
+
 class DSeries:
     """Formal power series in D, given as the map d -> [coefficients of the
     divided powers D^0/[0]! .. D^d/[d]!].
@@ -73,9 +78,7 @@ def dseries_apply(op: DSeries, p: MPoly, v: Symbol = Symbol.x) -> MPoly:
     """Apply the operator series to p in the variable v (exact finite sum)."""
     gs = op.coeffs(p.degree_in(v))
     # Coefficient k of the series meets D^k p / [k]!.
-    return dot(
-        (g, p.map_in(v, lambda e, k=k: qbinom(e, k), lower=k)) for k, g in enumerate(gs) if not g.is_zero()
-    )
+    return dot((g, divided_derivative(p, v, k)) for k, g in enumerate(gs) if not g.is_zero())
 
 
 def L_functional(p: MPoly, v: Symbol = Symbol.x) -> MPoly:

@@ -52,7 +52,8 @@ def qfac(n: int) -> QRat:
 def qbinom(n: int, k: int) -> QRat:
     """Gaussian binomial coefficient, computed by the q-Pascal recurrence.
 
-    Always a polynomial in q; zero outside 0 <= k <= n.
+    Always a polynomial in q; zero outside 0 <= k <= n.  [n 1] is [n], read
+    off `qint` without the recurrence, whose depth grows with n.
     """
     if n < 0:
         raise ValueError("upper index must be nonnegative")
@@ -60,6 +61,8 @@ def qbinom(n: int, k: int) -> QRat:
         return QRat((0,))
     if k == 0 or k == n:
         return ONE
+    if k == 1:
+        return qint(n)
     return qbinom(n - 1, k - 1) + qpow(k) * qbinom(n - 1, k)
 
 

@@ -404,7 +404,7 @@ def _power(base, n: int, one):
     acc = one
     while n:
         if n & 1:
-            acc = acc * base
+            acc = base if acc is one else acc * base
         n >>= 1
         if n:
             base = base * base

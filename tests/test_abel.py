@@ -23,7 +23,7 @@ from qabel.abel import (
 )
 from qabel.mpoly import MPoly, Symbol
 from qabel.operators import V_op
-from qabel.qcomb import qbinom, qint, qpow, qprod
+from qabel.qcomb import qint, qpow, qprod
 from qabel.qfield import QRat
 from qabel.series import PowerSeries, abel_sum, ps_exp
 
@@ -239,10 +239,3 @@ class TestFractionFree:
         closed = abel_expand(f)
         assert list(closed.coeffs) == abel_expand_reference(f)
         assert closed.reconstruct() == f
-
-    def test_expand_reads_no_gaussian_binomial(self):
-        # qbinom fills its cache by recursion, so a high x-degree must not reach it
-        before = qbinom.cache_info()
-        abel_expand(X ** 23 + A * X ** 17)
-        after = qbinom.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)

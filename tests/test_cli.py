@@ -536,8 +536,9 @@ class TestDeepRecursion:
             ["expand", "(" * 2000 + "x" + ")" * 2000],
             ["eval", "qfac(1500)", "--q", "1"],
             ["eval", "qbinom(1500,3)", "--q", "1"],
+            ["expand", "x^1100"],
         ],
-        ids=["deep-parens", "qfac", "qbinom"],
+        ids=["deep-parens", "qfac", "qbinom", "expand-degree"],
     )
     def test_exits_2_with_error(self, argv):
         out, code, err = run(argv)

@@ -172,6 +172,13 @@ class TestSubstManyReference:
         assignment = {Symbol.x: A.scale(QRat([1], [1, 0, 1])) + B, Symbol.y: MPoly.const(QRat([2], [3, -1]))}
         assert self.P.subst_many(assignment) == subst_reference(self.P, assignment)
 
+    def test_exponent_gaps(self):
+        # exponents 1, 2, 3 (gaps of one) then 7, 8 and 15 (larger gaps) of x,
+        # and 2, 5 of a, so each power is built from the previous one
+        p = X + X ** 2 * A ** 2 - (X ** 3).scale(Q) + X ** 7 * A ** 5 + X ** 8 + (X ** 15 * B).scale(qp(-1))
+        for assignment in ({Symbol.x: A + B.scale(Q)}, {Symbol.x: X - Y, Symbol.a: X.scale(QRat([1], [1, 1]))}):
+            assert p.subst_many(assignment) == subst_reference(p, assignment)
+
     def test_random_rational_polynomials(self):
         rng = random.Random(5)
         for _ in range(5):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import random_rational_poly
 from qabel.mpoly import MPoly, Symbol
 from qabel.operators import (
     DSeries,
@@ -9,6 +12,7 @@ from qabel.operators import (
     Qn_apply,
     V_op,
     delta_op,
+    divided_derivative,
     dseries_apply,
     make_exp_dseries,
     pincherle_residual,
@@ -65,6 +69,25 @@ class TestQDeriv:
         for d, c in enumerate(expected.coeffs_in(Symbol.x)):
             rebuilt = rebuilt + (c * X ** (d + 1)).scale(ONE_MINUS_Q)
         assert rebuilt == diff
+
+
+class TestDividedDerivative:
+    # D^k p / [k]! read off Gaussian binomials against the k-fold derivative,
+    # whose q-integers are multiplied out, over [k]!
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_kfold_derivative(self, seed):
+        p = random_rational_poly(random.Random(seed), (Symbol.x, Symbol.a, Symbol.b), max_deg=6)
+        for v in (Symbol.x, Symbol.a):
+            for k in range(p.degree_in(v) + 3):
+                assert divided_derivative(p, v, k) == qderiv(p, v, k).scale(qfac(k).inv()), (v, k)
+
+    def test_order_above_degree_is_zero(self):
+        assert divided_derivative((X + A) ** 5, Symbol.x, 6) == MPoly.zero()
+
+    def test_monomial_is_gaussian_binomial(self):
+        # [7 1] = [7] and [7 2] = [7][6]/[2]
+        assert divided_derivative(X ** 7, Symbol.x, 1) == (X ** 6).scale(qint(7))
+        assert divided_derivative(X ** 7, Symbol.x, 2) == (X ** 5).scale(qint(7) * qint(6) * qint(2).inv())
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3), st.integers(-3, 3))
