@@ -9,12 +9,12 @@ extraction modes of the q-Lagrange machinery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from .mpoly import A, B, MPoly, Symbol, X, dot
 from .operators import L_functional, V_op, divided_derivative
 from .qcomb import binom2, powers, qbinom, qfac, qint, qpow, qprod, shift_a, shift_g
+from .qfield import Record
 from .series import PowerSeries
 
 
@@ -59,10 +59,10 @@ def abel_poly(family: FamilyId, n: int) -> MPoly:
     raise ValueError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class AbelCoefficients:
+class AbelCoefficients(Record):
     """Coefficients of a polynomial against a family basis, index by degree."""
 
+    __slots__ = ("basis", "coeffs")
     basis: FamilyId
     coeffs: tuple[MPoly, ...]
 

@@ -14,10 +14,8 @@ nonnegative integer literals and division is only by q-only expressions.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -26,7 +24,7 @@ from .abel import FamilyId, abel_expand, abel_poly, lagrange_coeffs
 from .mpoly import A, B, MPoly, Symbol, X, Y
 from .operators import InvalidIndex
 from .qcomb import qbinom, qfac, qint, qpoch
-from .qfield import DivisionByZero, PoleAtPoint, QRat
+from .qfield import DivisionByZero, PoleAtPoint, QRat, Record
 from .registry import CheckResult, UnknownIdentity, WorkerDied
 from .series import PowerSeries, ps_exp
 
@@ -61,25 +59,25 @@ class NonScalarDenominator(ArithmeticError):
 # Expression language.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(Record):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
-class SymRef:
+class SymRef(Record):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
+    __slots__ = ("name", "args")
     name: str
     args: tuple["Expr", ...]
 
@@ -309,15 +307,20 @@ def _eval_leaf(tree: Expr) -> MPoly:
 # Reports.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
+    __slots__ = ("entries", "format")
+    _defaults = {"format": "text"}
     entries: tuple[CheckResult, ...]
-    format: str = "text"
+    format: str
 
     def render(self) -> str:
         total = len(self.entries)
         passed = sum(1 for e in self.entries if e.passed)
         if self.format == "json":
+            # Imported here: only this branch needs json, and every command
+            # pays for `import qabel.cli`.
+            import json
+
             payload = {
                 "entries": [
                     {

@@ -21,13 +21,12 @@ always is: packing its coefficients costs as much as the products it serves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Union
 
-from .qfield import (ONE as QR_ONE, QRat, Scalar, ZERO as QR_ZERO, _join_terms, _laurent_pack, _laurent_unpack,
+from .qfield import (ONE as QR_ONE, QRat, Record, Scalar, ZERO as QR_ZERO, _join_terms, _laurent_pack, _laurent_unpack,
                      _laurent_word, _power)
 
 CoeffLike = Union[QRat, int, Fraction]
@@ -47,10 +46,10 @@ _NSYM = len(Symbol)
 _ZEROS = (0,) * _NSYM
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """Exponent vector over the symbol set (zero exponents implicit)."""
 
+    __slots__ = ("exps",)
     exps: tuple[int, int, int, int, int]
 
     @property
@@ -58,13 +57,17 @@ class Monomial:
         return {s: e for s, e in zip(Symbol, self.exps) if e}
 
     def __str__(self) -> str:
-        parts = []
-        for s, e in zip(Symbol, self.exps):
-            if e == 1:
-                parts.append(s.name)
-            elif e:
-                parts.append(f"{s.name}^{e}")
-        return "*".join(parts)
+        return _monomial_text(self.exps)
+
+
+def _monomial_text(exps: tuple) -> str:
+    parts = []
+    for s, e in zip(Symbol, exps):
+        if e == 1:
+            parts.append(s.name)
+        elif e:
+            parts.append(f"{s.name}^{e}")
+    return "*".join(parts)
 
 
 def _as_coeff(v: CoeffLike) -> QRat:
@@ -310,7 +313,7 @@ class MPoly:
     def __str__(self) -> str:
         parts = []
         for k, c in self._sorted_items():
-            mono = str(Monomial(k))
+            mono = _monomial_text(k)
             sign = "+ "
             if c.is_negative():
                 sign, c = "- ", -c

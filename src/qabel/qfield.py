@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd as _int_gcd, lcm as _lcm
 from operator import add as _add, neg as _neg, sub as _sub
 from typing import Sequence, Union
@@ -56,6 +55,64 @@ class PoleAtPoint(ArithmeticError):
 
     def __reduce__(self):
         return type(self), (self.point,)
+
+
+class Record:
+    """Immutable record, the base of the library's small value types.
+
+    A subclass names its fields, in order, in `__slots__`, and may give
+    defaults for some of them in `_defaults`.  `__init__` sets each field
+    once, by position or by name, and then calls `__post_init__`, the
+    subclass's check.  Two records are equal when they have the same type
+    and equal fields, and hash alike then; the repr is `Name(field=value,
+    ...)`, assignment raises AttributeError, and a pickle rebuilds the
+    record from its fields.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            if len(args) > len(names) or not kwargs.keys() <= set(names) - given.keys():
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)} once each")
+            given = {**self._defaults, **given, **kwargs}
+            missing = [name for name in names if name not in given]
+            if missing:
+                raise TypeError(f"{type(self).__name__}() missing field(s) {', '.join(missing)}")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 # --------------------------------------------------------------------------
@@ -420,29 +477,40 @@ def _join_terms(parts: list) -> str:
     return s[2:] if s[0] == "+" else "-" + s[2:]
 
 
-def render_poly(coeffs: Sequence[Scalar]) -> str:
-    """Canonical text of a polynomial in q, highest power first; the
-    coefficients may be ints or Fractions."""
+# _Q_SUFFIX[i] is the text "*q^i" of the power q**i ("" for i = 0, "*q" for
+# i = 1), grown by `_q_suffixes`.  Growing builds a new list and rebinds the
+# name, so a reader in another thread keeps a complete list.
+_Q_SUFFIX = ["", "*q"]
+
+
+def _q_suffixes(top: int) -> list:
+    """_Q_SUFFIX, at least top entries long."""
+    global _Q_SUFFIX
+    table = _Q_SUFFIX
+    if len(table) < top:
+        table = _Q_SUFFIX = table + [f"*q^{i}" for i in range(len(table), 2 * top)]
+    return table
+
+
+def render_poly(coeffs: Sequence[Scalar], shift: int = 0) -> str:
+    """Canonical text of q**shift times the polynomial in q whose q**i term
+    is coeffs[i], highest power first; the coefficients may be ints or
+    Fractions, and shift is nonnegative."""
+    top = len(coeffs) + shift
+    suffix = _q_suffixes(top)
     parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
+    for i, c in compress(zip(range(top - 1, shift - 1, -1), reversed(coeffs)), reversed(coeffs)):
         sign = "+ "
         if c < 0:
             sign, c = "- ", -c
-        if not i:
-            parts.append(f"{sign}{c}")
-        else:
-            var = f"q^{i}" if i > 1 else "q"
-            parts.append(sign + var if c == 1 else f"{sign}{c}*{var}")
+        parts.append(sign + suffix[i][1:] if c == 1 and i else f"{sign}{c}{suffix[i]}")
     return _join_terms(parts)
 
 
-@dataclass(frozen=True)
-class QPoly:
+class QPoly(Record):
     """Polynomial in q with rational coefficients, index i holding the q**i term."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
@@ -668,15 +736,16 @@ class QRat:
 
     def __str__(self) -> str:
         # The text shows the primitive denominator, its content moved to
-        # the numerator's coefficients.
-        n, d = self._pair()
+        # the numerator's coefficients, and the power of q on the side where
+        # it is positive.
+        v, n, d = self._v, self._n, self._d
         s = _content(d)
         if s != 1:
             n, d = [Fraction(k, s) for k in n], [k // s for k in d]
-        num_s = render_poly(n)
-        if len(d) == 1:
+        num_s = render_poly(n, max(v, 0))
+        if len(d) == 1 and v >= 0:
             return num_s
-        den_s = render_poly(d)
+        den_s = render_poly(d, max(-v, 0))
         if " " in num_s:
             num_s = f"({num_s})"
         if " " in den_s:

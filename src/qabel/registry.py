@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from functools import partial
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
@@ -35,7 +34,7 @@ from .operators import (
     qderiv,
 )
 from .qcomb import binom2, qbinom, qfac, qint, qpow, qprod, shift_a, shift_g
-from .qfield import ONE as QR_ONE
+from .qfield import ONE as QR_ONE, Record
 from .series import PowerSeries, abel_sum, ps_exp
 
 
@@ -391,17 +390,18 @@ def _bound_text(bound: int | str) -> str:
     return "+".join(str(_DEFAULTS.get(name, name)) for name in bound.split("+"))
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     """Inclusive range lo..hi of one identity parameter.
 
     Each bound is an int or a '+'-joined sum of names in scope: max_n, order,
     or a parameter declared earlier.  A cap clamps the upper bound from above.
     """
 
-    lo: int | str = 0
-    hi: int | str = "max_n"
-    cap: int | None = None
+    __slots__ = ("lo", "hi", "cap")
+    _defaults = {"lo": 0, "hi": "max_n", "cap": None}
+    lo: int | str
+    hi: int | str
+    cap: int | None
 
     def values(self, env: dict[str, int]) -> range:
         hi = _bound_value(self.hi, env)
@@ -424,8 +424,8 @@ class Span:
 _AT_ORDER = Span("order", "order")
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
+    __slots__ = ("id", "description", "ranges", "compute")
     id: str
     description: str
     ranges: dict[str, Span]
@@ -448,8 +448,8 @@ class Identity:
         return [{name: env[name] for name in self.ranges} for env in envs]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("identity_id", "params", "status", "difference", "elapsed")
     identity_id: str
     params: dict[str, int]
     status: str

@@ -7,7 +7,6 @@ import pickle
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -383,7 +382,8 @@ def two_cpus(monkeypatch):
 
 def _swap_check(monkeypatch, identity_id, compute):
     ident = registry.REGISTRY[identity_id]
-    monkeypatch.setitem(registry.REGISTRY, identity_id, replace(ident, compute=compute))
+    swapped = registry.Identity(ident.id, ident.description, ident.ranges, compute)
+    monkeypatch.setitem(registry.REGISTRY, identity_id, swapped)
 
 
 @pytest.mark.usefixtures("two_cpus")
@@ -447,6 +447,23 @@ class TestVerifyJobs:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert proc.stdout == "[]\n", proc.stderr
+
+
+def test_import_loads_no_code_generation_or_json():
+    # Every command pays for `import qabel.cli` in a fresh interpreter, so it
+    # leaves out what only some commands need (json) and what the records do
+    # without (dataclasses and the modules it loads).
+    code = ("import sys; import qabel.cli as cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'json') "
+            "if m in sys.modules)); "
+            "out, code = cli.run_command(['verify', '--json', '--id', '5.4']); print(code); sys.stdout.write(out)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    loaded, exit_code, report = proc.stdout.split("\n", 2)
+    assert (loaded, exit_code) == ("[]", "0"), proc.stderr
+    payload = json.loads(report)
+    assert payload["total"] == payload["passed"] > 0 and payload["failed"] == 0
 
 
 class TestListCommand:
