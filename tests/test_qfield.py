@@ -344,6 +344,11 @@ def test_render_poly_matches_two_pass(coeffs):
     assert render_poly(coeffs) == render_poly_reference(coeffs)
 
 
+@given(st.lists(_render_coeff, max_size=12), st.integers(0, 40))
+def test_render_poly_shift_is_a_power_of_q(coeffs, shift):
+    assert render_poly(coeffs, shift) == render_poly_reference([0] * shift + coeffs)
+
+
 @pytest.mark.parametrize("coeffs, text", [
     ((), "0"), ((0, 0), "0"), ((5,), "5"), ((-5,), "-5"), ((Fraction(-1, 2),), "-1/2"),
     ((0, -1), "-q"), ((1, 0, 0, -1), "-q^3 + 1"), ((0, 2, -1), "-q^2 + 2*q"),
